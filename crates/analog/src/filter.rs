@@ -239,12 +239,16 @@ impl PassiveLag {
             cv: 1.0 / (r2 * g_drive),
             dv: 1.0 / (r1 * g_drive),
         };
-        // High-Z: r1 branch removed.
-        let g_hz = 1.0 / r2 + g_leak;
+        // High-Z: r1 branch removed, so r2·g = 1 + r2·g_leak = k. Written
+        // in k directly, the coefficients are exact without leakage
+        // (a = 0, cv = 1); the form 1/(r2·(1/r2)) − 1 leaves a ±1e-14
+        // residue for some R2, which turns a pure hold into a fast
+        // exponential.
+        let k = 1.0 + r2 * g_leak;
         let high_z = LagCoeffs {
-            a: (1.0 / (r2 * g_hz) - 1.0) / (r2 * c),
+            a: -g_leak / (k * c),
             b: 0.0,
-            cv: 1.0 / (r2 * g_hz),
+            cv: 1.0 / k,
             dv: 0.0,
         };
         Self {
@@ -665,6 +669,17 @@ mod tests {
         // Hold for a long time: unchanged without leakage.
         f.step(&mut x, PumpOutput::HighZ, 10.0);
         assert!((f.output(&x, PumpOutput::HighZ) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn passive_lag_high_z_is_an_exact_hold_for_every_r2() {
+        for k in 0..=400 {
+            let r2 = R2 * (0.9 + 0.2 * k as f64 / 400.0);
+            let seg = PassiveLag::new(R1, r2, C)
+                .affine_segment(PumpOutput::HighZ)
+                .expect("first-order");
+            assert_eq!((seg.a, seg.c), (0.0, 1.0), "r2 = {r2}");
+        }
     }
 
     #[test]
