@@ -41,6 +41,20 @@ if grep -rnE 'pub fn [a-z0-9_]*(_supervised|_resumed|_observed|_on)[[:space:]]*[
   exit 1
 fi
 
+# CpPll and EventDrivenCpPll are one LoopShell over two integrators.
+# This gate keeps the loop machinery in one place: a second copy of the
+# reference-edge scheduler, the feedback-edge handler or the sampler
+# means an engine forked the shell instead of adding an Integrator.
+echo "==> loop-shell gate (no second schedule_next_ref_edge / process_fb_edge / Sampler)"
+for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'struct Sampler'; do
+  n=$({ grep -rnE "\\b${def}\\b" crates/sim/src || true; } | wc -l)
+  if [ "$n" -gt 1 ]; then
+    echo "loop-shell gate: '${def}' is defined ${n} times under crates/sim/src —"
+    echo "put loop machinery in loop_shell::LoopShell and integration in an Integrator"
+    exit 1
+  fi
+done
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 
