@@ -151,6 +151,12 @@ impl CampaignPlan<CpPll> {
     /// ([`crate::scenario::settle_time`]), checkpoint reuse on, no
     /// supervision, auto-threaded work stealing, no resume file, no
     /// observer, telemetry off.
+    ///
+    /// The default backend is `CpPll` because it accepts every
+    /// configuration; [`crate::event_driven::EventDrivenCpPll`] is the
+    /// faster choice for in-class configs (see
+    /// [`crate::event_driven::OutOfClass::check`]) and is selected with
+    /// [`engine`](Self::engine).
     pub fn new(config: PllConfig) -> Self {
         Self {
             config,
