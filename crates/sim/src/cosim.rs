@@ -27,7 +27,7 @@ use pllbist_digital::logic::Logic;
 use pllbist_digital::time::SimTime;
 
 /// Cumulative co-simulation work counters (same philosophy as
-/// [`crate::behavioral::SolverStats`]: plain `u64`s, polled by telemetry
+/// [`crate::engine::WorkStats`]: plain `u64`s, polled by telemetry
 /// at stage boundaries, never synchronised in the hot loop).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CosimStats {
