@@ -47,23 +47,28 @@ fn event_driven_plan(threads: usize) -> CampaignPlan<EventDrivenCpPll> {
         .scheduler(Scheduler::WorkStealing { threads })
 }
 
-/// Polls `/jobs/<id>` until its state is terminal (`done`/`failed`).
-fn wait_terminal(addr: std::net::SocketAddr, job: &str, budget: Duration) -> String {
+/// Polls `/jobs/<id>` until its state is one of `states`.
+fn wait_state(addr: std::net::SocketAddr, job: &str, states: &[&str], budget: Duration) -> String {
     let started = Instant::now();
     loop {
         if let Ok(body) = http_get(addr, &format!("/jobs/{job}")) {
             if let Some(state) = json_str_field(&body, "state") {
-                if state == "done" || state == "failed" {
+                if states.contains(&state.as_str()) {
                     return state;
                 }
             }
         }
         assert!(
             started.elapsed() < budget,
-            "job {job} not terminal within {budget:?}"
+            "job {job} not {states:?} within {budget:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Polls `/jobs/<id>` until its state is terminal (`done`/`failed`).
+fn wait_terminal(addr: std::net::SocketAddr, job: &str, budget: Duration) -> String {
+    wait_state(addr, job, &["done", "failed"], budget)
 }
 
 #[test]
@@ -210,19 +215,21 @@ fn bounded_queue_answers_429_and_drops_the_durable_trace() {
     let service = CampaignService::start(config).expect("start");
     let addr = service.addr();
 
-    // A deliberately slow occupant: the behavioural engine stepping a
-    // sub-hertz modulation point keeps the runner busy while the queue
-    // fills behind it.
+    // A deliberately slow occupant: each point simulates two modulation
+    // periods, so millihertz points keep the behavioural engine busy for
+    // thousands of simulated seconds while the queue fills behind it.
     let slow_plan = CampaignPlan::new(PllConfig::paper_table3())
         .engine::<CpPll>()
         .lock_settle(0.05)
         .supervised(SupervisorPolicy::default())
         .scheduler(Scheduler::Serial);
-    let slow_grid = [0.05, 0.07];
+    let slow_grid = [0.002, 0.0025];
     let slow_body = submission_body(&slow_plan, &slow_grid, "svc-slow", &FaultPlan::none());
     let slow_job = slow_plan.digest(&slow_grid, "svc-slow");
     http_post(addr, "/jobs", &slow_body).expect("submit slow");
-    std::thread::sleep(Duration::from_millis(150)); // runner picks it up
+    // Queued work counts against the capacity only once the runner has
+    // taken the occupant off the queue.
+    wait_state(addr, &slow_job, &["running"], Duration::from_secs(60));
 
     let queued_plan = closed_form_plan(1);
     let queued_grid = [3.0, 6.0];
