@@ -10,10 +10,9 @@
 //! so the loop filter collapses to a scalar affine ODE
 //! ([`AffineSegment`]) whose state, output and *time integral* all have
 //! closed forms. One evaluation replaces an arbitrary number of
-//! micro-steps, VCO phase is accumulated exactly (no trapezoid), and
-//! feedback edges are located by a safeguarded Newton iteration on the
-//! closed-form phase — a handful of `exp` calls instead of sixty
-//! state-vector clones.
+//! micro-steps and VCO phase is accumulated exactly (no trapezoid). The
+//! shell's safeguarded Newton solver finds feedback edges on that
+//! closed-form phase, one shared `exp` per iteration.
 //!
 //! Everything outside the segment — boundary candidates, reference-edge
 //! scheduling with clamped generation jitter, hold, work accounting,
@@ -147,26 +146,6 @@ struct Kernel {
     gdx: f64,
 }
 
-impl Kernel {
-    /// Instantaneous (linear, unclamped) VCO frequency for state `x`.
-    #[inline]
-    fn freq(&self, x: f64) -> f64 {
-        self.f0 + self.gdx * x
-    }
-
-    /// The segment of length `dt` from state `x`: end state and exact
-    /// phase advance from one shared exponential.
-    #[inline]
-    fn segment(&self, x: f64, dt: f64) -> Segment<f64> {
-        let (end, integral) = self.seg.state_and_integral(x, dt);
-        Segment {
-            dt,
-            dphase: self.f0 * dt + self.gdx * integral,
-            end,
-        }
-    }
-}
-
 /// The closed-form [`Integrator`]: first-order filter, linear VCO.
 pub struct EventStep {
     /// Kernels indexed by [`slot`]: Up, Down, Off.
@@ -206,21 +185,6 @@ impl EventStep {
         let x = lock_state(config, filter.as_ref())[0];
         Ok((Self { kernels }, x))
     }
-
-    /// Convergence tolerance for the edge solver, relative to the
-    /// *segment length* (`dt_max`), not the candidate. The distinction
-    /// matters in lock: the feedback edge then falls essentially at the
-    /// segment start (the remaining target phase is cancellation noise
-    /// of the accumulated-cycles subtraction), so the true root sits at
-    /// `dt ≈ 1e-18 s` and any candidate-relative threshold collapses
-    /// with it — Newton would grind sub-noise bisection for the full
-    /// iteration budget chasing precision the target itself doesn't
-    /// carry. One part in 10¹³ of a segment is ~1e-16 s on a reference
-    /// period: far below edge-time significance (the phase error it
-    /// admits is under the target's own rounding noise), reached in a
-    /// couple of iterations whether the root is mid-segment or
-    /// degenerate at the boundary.
-    const EDGE_REL_TOL: f64 = 1e-13;
 }
 
 impl Integrator for EventStep {
@@ -244,76 +208,21 @@ impl Integrator for EventStep {
     }
 
     #[inline]
-    fn advance(&mut self, x: &f64, drive: PfdOutput, dt: f64) -> Segment<f64> {
-        self.kernels[slot(drive)].segment(*x, dt)
+    fn frequency(&self, x: &f64, drive: PfdOutput) -> f64 {
+        let k = &self.kernels[slot(drive)];
+        k.f0 + k.gdx * *x
     }
 
-    /// Newton on the closed-form phase — the derivative is the
-    /// instantaneous frequency, also closed form — safeguarded by a
-    /// shrinking bracket with bisection fallback, converged to
-    /// `EDGE_REL_TOL` deterministically.
+    /// End state and exact phase advance from one shared exponential.
     #[inline]
-    fn solve_crossing(
-        &mut self,
-        x: &f64,
-        drive: PfdOutput,
-        target: f64,
-        dt_max: f64,
-    ) -> Segment<f64> {
-        let k = self.kernels[slot(drive)];
-        let x = *x;
-        let mut lo = 0.0f64;
-        let mut hi = dt_max;
-        // The tightest at-or-past-target evaluation seen so far — the
-        // fallback if the loop exhausts its budget without converging.
-        let mut best: Option<Segment<f64>> = None;
-        // Initial guess from the segment-entry frequency.
-        let f_entry = k.freq(x);
-        let mut cand = if f_entry > 0.0 {
-            (target / f_entry).clamp(0.0, dt_max)
-        } else {
-            0.5 * dt_max
-        };
-        for _ in 0..64 {
-            if cand <= lo || cand >= hi {
-                cand = 0.5 * (lo + hi);
-                if cand <= lo || cand >= hi {
-                    // Bracket collapsed to a ulp: `best` (if any) is the
-                    // crossing to machine precision.
-                    break;
-                }
-            }
-            // One shared exponential per candidate: the phase residual
-            // (via the state integral) and the Newton derivative (the
-            // instantaneous frequency at the candidate) come out of the
-            // same `exp` evaluation — the entire cost of an iteration.
-            let here = k.segment(x, cand);
-            if here.dphase < target {
-                lo = cand;
-            } else {
-                hi = cand;
-                best = Some(here);
-            }
-            let f = k.f0 + k.gdx * here.end;
-            if f <= 0.0 {
-                cand = 0.5 * (lo + hi);
-                continue;
-            }
-            let delta = (target - here.dphase) / f;
-            // Converged: the Newton update or the bracket is below the
-            // tolerance. The final candidate *is* the edge — committing
-            // it directly (state and phase from the same evaluation)
-            // keeps edge time, filter state and accumulated phase
-            // mutually exact.
-            if delta.abs() <= Self::EDGE_REL_TOL * dt_max || hi - lo <= Self::EDGE_REL_TOL * dt_max
-            {
-                return here;
-            }
-            cand += delta;
+    fn advance(&mut self, x: &f64, drive: PfdOutput, dt: f64) -> Segment<f64> {
+        let k = &self.kernels[slot(drive)];
+        let (end, integral) = k.seg.state_and_integral(*x, dt);
+        Segment {
+            dt,
+            dphase: k.f0 * dt + k.gdx * integral,
+            end,
         }
-        // Never bracketed from above within the iteration budget: fall
-        // back to the caller-guaranteed crossing at `dt_max`.
-        best.unwrap_or_else(|| k.segment(x, hi))
     }
 
     #[inline]
@@ -321,7 +230,7 @@ impl Integrator for EventStep {
         // The kernels are *unclamped* linear extrapolations; leaving the
         // positive-frequency region means the clamp of the behavioural
         // model would have engaged and the closed form no longer holds.
-        let f_end = self.kernels[slot(drive)].freq(*x);
+        let f_end = self.frequency(x, drive);
         assert!(
             f_end > 0.0,
             "EventDrivenCpPll: VCO frequency left the positive linear \
@@ -398,10 +307,10 @@ mod tests {
 
     #[test]
     fn event_engine_does_far_less_work() {
-        // The reason this engine exists: no micro-steps, no bisection
-        // trials. Committed segments stay within a small multiple of the
-        // physical event count, where the behavioural engine pays ~5
-        // micro-steps per reference period on the paper's loop.
+        // The reason this engine exists: no micro-steps. Committed
+        // segments stay within a small multiple of the physical event
+        // count, where the behavioural engine pays ~5 micro-steps per
+        // reference period on the paper's loop.
         let cfg = PllConfig::paper_table3();
         let mut ev = EventDrivenCpPll::new_locked(&cfg);
         let mut beh = CpPll::new_locked(&cfg);

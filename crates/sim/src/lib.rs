@@ -9,16 +9,17 @@
 //!   instrumentation and checkpointing live in one `LoopShell`, and
 //!   reference/feedback edges bound constant-drive segments. How a
 //!   segment is integrated is the shell's only type parameter, with two
-//!   integrators:
+//!   integrators that share one feedback-edge solver (safeguarded Newton
+//!   on the phase advance, whose derivative is the VCO frequency):
 //!   * [`behavioral`] (`CpPll`) — the general path: the loop filter's
-//!     state vector is stepped **exactly** over micro-steps and feedback
-//!     edges are bisected. Handles every configuration (ripple
-//!     capacitors, VCO curvature and clamping, cold-start acquisition).
+//!     state vector is stepped **exactly** over micro-steps. Handles
+//!     every configuration (ripple capacitors, VCO curvature and
+//!     clamping, cold-start acquisition).
 //!   * [`event_driven`] (`EventDrivenCpPll`) — the per-event closed-form
 //!     path (Kuznetsov–Yuldashev style): between PFD switching events the
 //!     loop collapses to a scalar affine ODE with closed-form state,
 //!     output and phase integral, so one evaluation replaces a run of
-//!     micro-steps. Order-of-magnitude faster on the first-order/linear
+//!     micro-steps. About twice as fast on the first-order/linear
 //!     configuration class the BIST campaigns actually sweep.
 //! * [`cosim`] — gate-level co-simulation: the digital side (DCO, dividers,
 //!   PFDs, counters, the paper's fig. 7 peak detector) runs in the
