@@ -3,9 +3,9 @@
 //! fault class) measured with the paper's sweep and judged against
 //! golden-calibrated limits at two guard-band widths.
 //!
-//! Every faulty measurement is independent, so the campaign fans out
-//! across cores via `pllbist_sim::parallel` (each worker runs its own
-//! serial sweep). Each sweep runs under the sweep supervisor, so the
+//! Faulty devices are measured one after another; each device's tones
+//! fan out across cores on the campaign runner (a work-stealing plan).
+//! Each sweep runs under the sweep supervisor, so the
 //! whole failure surface flows through one channel — faults that cannot
 //! be wired into the chosen topology arrive as
 //! `SweepPointError::FaultWiring` next to any runtime divergence or
@@ -34,13 +34,13 @@ fn main() {
         loop_settle_secs: 0.3,
         ..MonitorSettings::fast()
     });
-    // Each device runs a *serial* supervised plan — the campaign itself
-    // fans out across cores below, one device per worker.
+    // Each device runs a supervised plan whose tones fan out across
+    // every core.
     let telemetry_cfg = report.telemetry_config();
     let device_plan = |cfg: &PllConfig| {
         CampaignPlan::new(cfg.clone())
             .supervised(policy.clone())
-            .scheduler(Scheduler::Serial)
+            .scheduler(Scheduler::WorkStealing { threads: 0 })
             .telemetry(telemetry_cfg.clone())
     };
     let golden_result = monitor.measure(&device_plan(&golden_cfg));
@@ -55,10 +55,9 @@ fn main() {
     let tight = LimitComparator::around(fng, zg, 0.10);
     let loose = LimitComparator::around(fng, zg, 0.25);
 
-    // One supervised faulty sweep per campaign entry, fanned out across
-    // cores. Each worker's sweep telemetry rides back with its estimate;
-    // wiring failures convert into the same typed error space as
-    // runtime failures.
+    // One supervised faulty sweep per campaign entry, in order. Each
+    // sweep's telemetry rides back with its estimate; wiring failures
+    // convert into the same typed error space as runtime failures.
     let campaign = Fault::standard_campaign();
     // Coarse `--progress` feed: one board tick per faulty device (the
     // sweep inside stays unobserved — observation must not perturb it).
@@ -70,8 +69,9 @@ fn main() {
     );
     type FaultOutcome =
         Result<(Option<ParameterEstimate>, usize, usize, Vec<Record>), SweepPointError>;
-    let results: Vec<(Fault, FaultOutcome)> =
-        pllbist_sim::parallel::par_map(&campaign, 0, |&fault| {
+    let results: Vec<(Fault, FaultOutcome)> = campaign
+        .iter()
+        .map(|&fault| {
             let started = std::time::Instant::now();
             let est = golden_cfg
                 .with_fault(fault)
@@ -90,7 +90,8 @@ fn main() {
                 });
             board.point_done(0, est.is_ok(), started.elapsed().as_secs_f64());
             (fault, est)
-        });
+        })
+        .collect();
     drop(progress);
 
     println!(" fault                            | fn (Hz) |   ζ    | ±10 % | ±25 % | quar");

@@ -15,7 +15,6 @@ use pllbist_bench::progress::{ProgressLine, ProgressSource};
 use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::noise::NoiseConfig;
-use pllbist_sim::{CampaignPlan, Scheduler};
 use pllbist_telemetry::{fields, ProgressBoard, RunReport};
 
 fn main() {
@@ -41,13 +40,10 @@ fn main() {
     );
 
     let telemetry_cfg = report.telemetry_config();
-    // Serial: the clean baseline must stay bitwise comparable to the
-    // serial device walks below (zero-jitter row reads exactly 0 dB).
-    let plan = CampaignPlan::new(cfg.clone())
-        .scheduler(Scheduler::Serial)
-        .telemetry(telemetry_cfg.clone());
+    // The clean baseline walks the same device path as the noisy runs
+    // below, so the zero-jitter row reads exactly 0 dB.
     let t0 = Instant::now();
-    let clean = monitor.measure(&plan).expect_healthy();
+    let clean = monitor.measure_device(&mut CpPll::new_locked(&cfg), &telemetry_cfg);
     board.point_done(0, true, t0.elapsed().as_secs_f64());
     report.extend(clean.telemetry.clone());
     let clean_rel: Vec<f64> = clean

@@ -1,12 +1,13 @@
 //! Regenerates **Table 2**: the five-stage test sequence with its M1/M2
 //! multiplexer states, printed as executed by the monitor on a two-tone
 //! sweep — every row carries the actual simulation time at which the
-//! sequencer entered the stage.
+//! sequencer entered the stage, on the one clock of a continuous device
+//! walk.
 
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist::sequencer::Stage;
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::{CampaignPlan, Scheduler};
+use pllbist_sim::CpPll;
 use pllbist_telemetry::{fields, RunReport};
 
 fn main() {
@@ -41,14 +42,11 @@ fn main() {
         capture_transcript: true,
         ..MonitorSettings::fast()
     };
-    // Serial plan: the transcript is the deliverable and serial order
-    // keeps it in tone order.
-    let plan = CampaignPlan::new(cfg)
-        .scheduler(Scheduler::Serial)
-        .telemetry(report.telemetry_config());
-    let result = TransferFunctionMonitor::new(settings)
-        .measure(&plan)
-        .expect_healthy();
+    // The as-executed transcript is the deliverable, so one engine walks
+    // both tones in order and every row reads the same clock.
+    let mut pll = CpPll::new_locked(&cfg);
+    let result =
+        TransferFunctionMonitor::new(settings).measure_device(&mut pll, &report.telemetry_config());
     report.extend(result.telemetry.clone());
 
     println!("\nexecuted transcript (2-tone sweep):\n");

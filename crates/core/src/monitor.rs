@@ -24,18 +24,16 @@ use crate::estimate::ParameterEstimate;
 use crate::peak_detect::{PeakDetector, PeakKind};
 use crate::sequencer::{TestSequencer, Transition};
 use pllbist_numeric::bode::{BodePlot, BodePoint};
+use pllbist_sim::campaign::NullCodec;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::error::SweepPointError;
 use pllbist_sim::plan::CampaignPlan;
 use pllbist_sim::scenario::Scenario;
 use pllbist_sim::stimulus::FmStimulus;
-use pllbist_sim::supervisor::{
-    emit_incident, Incident, IncidentAction, Supervised, SupervisorPolicy,
-};
+use pllbist_sim::supervisor::{supervised_point, Incident};
 use pllbist_sim::PllEngine;
 use pllbist_telemetry::{span, Collector, Record, TelemetryConfig};
 use std::f64::consts::TAU;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which FM approximation drives the reference (the fig. 11/12
 /// comparison).
@@ -368,14 +366,6 @@ impl SupervisedMonitorResult {
     }
 }
 
-/// One tone's outcome inside a supervised walk (internal carrier for
-/// point + transcript + incidents across the worker boundary).
-struct ToneOutcome {
-    point: Result<MonitorPoint, SweepPointError>,
-    transcript: Vec<Transition>,
-    incidents: Vec<Incident>,
-}
-
 /// The `f_mod_hz` tag incidents use for device-level (nominal
 /// qualification) failures, which precede any tone.
 pub const DEVICE_INCIDENT_F_MOD: f64 = 0.0;
@@ -415,8 +405,10 @@ impl TransferFunctionMonitor {
     /// lets callers pre-stress or pre-fault the device *state*, which a
     /// [`CampaignPlan`] (a pure description built from a configuration)
     /// cannot express. The caller's loop takes the nominal reading and
-    /// then walks every tone in order — bitwise identical to a serial
-    /// unsupervised plan over the same configuration.
+    /// then walks every tone in order on one engine, so the transcript is
+    /// on one clock. A plan measures each tone on its own settled loop
+    /// instead: the nominal reading is identical, the tones agree in
+    /// physics but differ in low-order bits (different settle history).
     ///
     /// For everything else — scheduling, checkpointing, supervision,
     /// engine choice — use [`measure`](Self::measure) with a plan.
@@ -458,9 +450,11 @@ impl TransferFunctionMonitor {
     }
 
     /// **The** monitor entry point: runs the full Table 2 sweep as
-    /// described by `plan`. Engine backend, scheduling, checkpointing,
-    /// supervision and telemetry are plan options lowered onto this one
-    /// execution path — never separate functions.
+    /// described by `plan`, on the workspace's one campaign runner. The
+    /// nominal reading is one [`supervised_point`]; the tones are one
+    /// [`Scenario::run_points`] call whose capture runs the Table 2
+    /// sequence on a single tone. Both start from a loop settled for
+    /// [`MonitorSettings::resolved_loop_settle`] (at least 0.1 s).
     ///
     /// Per plan option:
     ///
@@ -472,27 +466,28 @@ impl TransferFunctionMonitor {
     ///   tone on an unguarded engine — no retries, no `supervisor.*`
     ///   telemetry, but a panicking tone still quarantines in place
     ///   instead of unwinding the sweep.
-    /// * **scheduler** — serial: one qualified loop walks every tone in
-    ///   order, the historical bit-for-bit walk. Work-stealing: each
-    ///   tone is claimed dynamically and measured on its own settled
-    ///   loop, so values can differ from the serial walk in low-order
-    ///   bits (different settle history), never in physics — and are
-    ///   bitwise identical for every worker count ≥ 2.
-    /// * **checkpoint** — on the parallel path, settle once and hand
-    ///   every tone a restored snapshot ([`PllEngine::restore`] is
-    ///   bit-exact) instead of re-locking per tone.
+    /// * **scheduler** — identical bits at every thread count: each tone
+    ///   is measured on its own settled loop, so a serial plan runs the
+    ///   same per-tone schedule as a work-stealing one. The one-engine
+    ///   continuous walk is [`measure_device`](Self::measure_device).
+    /// * **checkpoint** — settle once and hand every tone a restored
+    ///   snapshot ([`PllEngine::restore`] is bit-exact) instead of
+    ///   re-locking per tone.
+    /// * **observed** — the plan's observer sees one claim and one
+    ///   outcome per tone (the nominal reading is not a tone).
     ///
-    /// `resume_from`/`observed` are sweep-campaign options the monitor
-    /// ignores (its per-tone payload has no campaign-file codec), and
-    /// `lock_settle` is owned by [`MonitorSettings::loop_settle_secs`]
-    /// here.
+    /// `resume_from`/`sidecar` are ignored: resuming needs a campaign-file
+    /// codec for a tone outcome (point plus transcript), and a run that
+    /// reads a results file can fail with a `CampaignError` that this
+    /// return type cannot carry. `lock_settle` is owned by
+    /// [`MonitorSettings::loop_settle_secs`] here.
     ///
-    /// On a healthy device the surviving points are bitwise identical
-    /// across every supervision/checkpoint/telemetry combination at the
-    /// same schedule: guardrails are read-only and the supervised walk
-    /// drives the engine through exactly the same call sequence.
-    /// Retries are a pure function of `(config, tone, policy)` — a
-    /// retried tone re-locks a fresh engine with the policy's scaled
+    /// On a healthy device the surviving points and the transcript are
+    /// bitwise identical across every supervision/checkpoint/observer/
+    /// telemetry/thread-count combination: guardrails are read-only and
+    /// the supervised run drives the engine through exactly the same call
+    /// sequence. Retries are a pure function of `(config, tone, policy)`
+    /// — a retried tone re-locks a fresh engine with the policy's scaled
     /// micro-step and extended settle, so failing campaigns replay
     /// incident for incident.
     pub fn measure<E: PllEngine>(&self, plan: &CampaignPlan<E>) -> SupervisedMonitorResult {
@@ -501,85 +496,33 @@ impl TransferFunctionMonitor {
         let policy = plan.supervision();
         let tel = Collector::from_config(plan.telemetry_config());
         let fc = FrequencyCounter::new(s.test_clock_hz, s.gate_cycles);
-        let loop_settle = s.resolved_loop_settle(config).max(0.1);
-        let mut incidents = Vec::new();
+        let scenario = Scenario::with_lock_settle(config, s.resolved_loop_settle(config).max(0.1));
 
-        // Device qualification: build the loop and take the nominal
-        // reading (guarded when supervised), retrying per policy. A
-        // device that cannot even produce a nominal reading quarantines
-        // wholesale.
-        let max_retries = policy.map_or(0, |p| p.max_retries);
-        let mut device = None;
-        let mut device_error = None;
-        for attempt in 0..=max_retries {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // `for_attempt` rescales the step budget alongside the
-                // finer micro-step/longer settle below, so a deep
-                // qualification retry is not spuriously budget-killed.
-                let mut pll = match policy {
-                    Some(policy) => Supervised::for_attempt(E::new_locked(config), policy, attempt),
-                    None => Supervised::unsupervised(E::new_locked(config)),
-                };
-                let mut settle = loop_settle;
-                if attempt > 0 {
-                    let Some(policy) = policy else {
-                        unreachable!("retry attempts require a supervision policy")
-                    };
-                    pll.set_step_scale(policy.retry_step_scale.powi(attempt as i32));
-                    settle *= policy.retry_settle_scale.powi(attempt as i32);
-                }
-                pll.arm_point();
-                let _settle = span!(tel, "monitor.nominal");
-                let t = pll.time();
-                pll.advance_to(t + settle);
-                pll.set_hold(true);
-                let nominal = fc.measure(&mut pll, s.count_divided_output);
-                pll.set_hold(false);
-                (pll, nominal)
-            }));
-            match outcome {
-                Ok(pair) => {
-                    device = Some(pair);
-                    break;
-                }
-                Err(payload) => {
-                    let error = SweepPointError::from_panic(payload);
-                    let retry = attempt < max_retries && error.is_retryable();
-                    let incident = Incident {
-                        f_mod_hz: DEVICE_INCIDENT_F_MOD,
-                        attempt,
-                        action: if retry {
-                            IncidentAction::Retried
-                        } else {
-                            IncidentAction::Quarantined
-                        },
-                        error: error.clone(),
-                    };
-                    if policy.is_some() {
-                        emit_incident(&tel, &incident);
-                    }
-                    incidents.push(incident);
-                    if !retry {
-                        device_error = Some(error);
-                        break;
-                    }
-                }
-            }
-        }
-        let (mut pll, nominal) = match device {
-            Some(pair) => pair,
-            None => {
-                let error = device_error.unwrap_or(SweepPointError::WorkerPanic {
-                    message: "device qualification failed".to_string(),
-                });
-                let points = s
-                    .mod_frequencies_hz
-                    .iter()
-                    .map(|_| Err(error.clone()))
-                    .collect();
+        // Device qualification: the nominal reading, held for a clean
+        // gate. A device that cannot produce one quarantines wholesale.
+        let nominal = {
+            let _nominal = span!(tel, "monitor.nominal");
+            supervised_point::<E, _, _>(
+                &scenario,
+                None,
+                policy,
+                DEVICE_INCIDENT_F_MOD,
+                &tel,
+                |pll| {
+                    pll.set_hold(true);
+                    let reading = fc.measure(pll, s.count_divided_output);
+                    pll.set_hold(false);
+                    Ok(reading)
+                },
+            )
+        };
+        let mut incidents = nominal.incidents;
+        let nominal = match nominal.result {
+            Ok(nominal) => nominal,
+            Err(error) => {
                 return SupervisedMonitorResult {
-                    nominal: Err(error),
-                    points,
+                    nominal: Err(error.clone()),
+                    points: vec![Err(error); s.mod_frequencies_hz.len()],
                     transcript: Vec::new(),
                     capture: s.capture,
                     incidents,
@@ -588,114 +531,40 @@ impl TransferFunctionMonitor {
             }
         };
 
-        let workers = pllbist_sim::parallel::resolve_threads(plan.schedule().threads())
-            .min(s.mod_frequencies_hz.len().max(1));
-        let outcomes = if workers <= 1 {
-            // Serial path: the qualified device walks every tone in
-            // order — the historical bit-for-bit walk.
-            self.supervised_chunk(
-                &mut pll,
-                &s.mod_frequencies_hz,
-                &nominal,
-                policy,
-                loop_settle,
-                &tel,
-            )
-        } else {
-            // Parallel path: tones claimed dynamically by the
-            // work-stealing executor, one settled loop per tone,
-            // restored from one shared guarded snapshot when the plan
-            // checkpoints. A failure that escapes per-tone containment
-            // quarantines only its own tone, never a whole chunk.
-            let snapshot = if plan.checkpoint_enabled() {
-                catch_unwind(AssertUnwindSafe(|| {
-                    let _span = span!(tel, "scenario.checkpoint");
-                    let mut settled = match policy {
-                        Some(policy) => Supervised::new(E::new_locked(config), policy),
-                        None => Supervised::unsupervised(E::new_locked(config)),
-                    };
-                    let t0 = settled.time();
-                    settled.advance_to(t0 + loop_settle);
-                    settled.checkpoint()
-                }))
-                .ok()
-            } else {
-                None
-            };
-            let per_tone = pllbist_sim::parallel::par_try_map_points(
-                &s.mod_frequencies_hz,
-                workers,
-                &tel,
-                |tone_index, &f_mod| {
-                    let mut worker_pll = match policy {
-                        Some(policy) => Supervised::new(E::new_locked(config), policy),
-                        None => Supervised::unsupervised(E::new_locked(config)),
-                    };
-                    match snapshot.as_ref() {
-                        Some(snap) => worker_pll.restore(snap),
-                        None => {
-                            let t0 = worker_pll.time();
-                            worker_pll.advance_to(t0 + loop_settle);
-                        }
-                    }
-                    let mut tone_outcomes = self.supervised_chunk(
-                        &mut worker_pll,
-                        std::slice::from_ref(&f_mod),
-                        &nominal,
-                        policy,
-                        loop_settle,
-                        &tel,
-                    );
-                    // `supervised_chunk` on a one-tone slice yields
-                    // exactly one outcome; stamp its global position.
-                    let mut outcome = match tone_outcomes.pop() {
-                        Some(outcome) => outcome,
-                        None => ToneOutcome {
-                            point: Err(SweepPointError::DegenerateFit { f_mod_hz: f_mod }),
-                            transcript: Vec::new(),
-                            incidents: Vec::new(),
-                        },
-                    };
-                    for transition in &mut outcome.transcript {
-                        transition.tone_index = tone_index;
-                    }
-                    Ok(outcome)
-                },
-            );
-            let mut outcomes = Vec::with_capacity(s.mod_frequencies_hz.len());
-            for (res, &f_mod) in per_tone.into_iter().zip(&s.mod_frequencies_hz) {
-                match res {
-                    Ok(outcome) => outcomes.push(outcome),
-                    // A failure that escaped even the per-tone
-                    // containment boundary: quarantine just this tone.
-                    Err(error) => {
-                        let incident = Incident {
-                            f_mod_hz: f_mod,
-                            attempt: 0,
-                            action: IncidentAction::Quarantined,
-                            error: error.clone(),
-                        };
-                        if policy.is_some() {
-                            emit_incident(&tel, &incident);
-                        }
-                        outcomes.push(ToneOutcome {
-                            point: Err(error),
-                            transcript: Vec::new(),
-                            incidents: vec![incident],
-                        });
-                    }
-                }
-            }
-            outcomes
-        };
-
-        let mut points = Vec::with_capacity(outcomes.len());
+        let swept = scenario.run_points::<E, NullCodec<(MonitorPoint, Vec<Transition>)>, _>(
+            &s.mod_frequencies_hz,
+            plan.schedule().threads(),
+            plan.checkpoint_enabled(),
+            policy,
+            &tel,
+            None,
+            None,
+            plan.observer(),
+            |pll, f_mod| {
+                let (points, transcript) = self.sweep_chunk(pll, &[f_mod], &nominal, &tel);
+                points
+                    .into_iter()
+                    .next()
+                    .map(|point| (point, transcript))
+                    .ok_or(SweepPointError::DegenerateFit { f_mod_hz: f_mod })
+            },
+        );
+        incidents.extend(swept.incidents);
         let mut transcript = Vec::new();
-        for outcome in outcomes {
-            points.push(outcome.point);
-            transcript.extend(outcome.transcript);
-            incidents.extend(outcome.incidents);
-        }
+        let points = swept
+            .points
+            .into_iter()
+            .enumerate()
+            .map(|(tone_index, outcome)| {
+                outcome.map(|(point, tone)| {
+                    transcript.extend(tone.into_iter().map(|transition| Transition {
+                        tone_index,
+                        ..transition
+                    }));
+                    point
+                })
+            })
+            .collect();
         if tel.is_enabled() {
             tel.gauge(
                 "monitor.transcript_bytes",
@@ -712,135 +581,9 @@ impl TransferFunctionMonitor {
         }
     }
 
-    /// Walks `chunk` tone by tone under per-tone containment: attempt 0
-    /// runs on the walking engine (pre-tone checkpoint, rewound on
-    /// failure so later tones are unaffected); with a supervision
-    /// policy, retries re-lock a fresh engine with the policy's scaled
-    /// micro-step and extended settle. Without one each tone gets
-    /// exactly one attempt and no `supervisor.*` telemetry.
-    fn supervised_chunk<E: PllEngine>(
-        &self,
-        pll: &mut Supervised<E>,
-        chunk: &[f64],
-        nominal: &FrequencyReading,
-        policy: Option<&SupervisorPolicy>,
-        loop_settle: f64,
-        tel: &Collector,
-    ) -> Vec<ToneOutcome> {
-        let config = pll.config().clone();
-        let max_retries = policy.map_or(0, |p| p.max_retries);
-        let mut outcomes = Vec::with_capacity(chunk.len());
-        for (j, &f_mod) in chunk.iter().enumerate() {
-            let tone = std::slice::from_ref(&f_mod);
-            let mut incidents = Vec::new();
-            let mut outcome = None;
-            let snap = pll.checkpoint();
-            let tone_start_t = pll.time();
-            for attempt in 0..=max_retries {
-                let result = if attempt == 0 {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        pll.arm_point();
-                        self.sweep_chunk(pll, tone, nominal, tel)
-                    }))
-                } else {
-                    let Some(policy) = policy else {
-                        unreachable!("retry attempts require a supervision policy")
-                    };
-                    catch_unwind(AssertUnwindSafe(|| {
-                        // Budget rescaled with the attempt: the finer
-                        // micro-step and longer settle below cost
-                        // ~(settle_scale/step_scale)^k more steps, which
-                        // a constant budget misread as a runaway point.
-                        let mut retry_pll =
-                            Supervised::for_attempt(E::new_locked(&config), policy, attempt);
-                        retry_pll.set_step_scale(policy.retry_step_scale.powi(attempt as i32));
-                        retry_pll.arm_point();
-                        let t0 = retry_pll.time();
-                        retry_pll.advance_to(
-                            t0 + loop_settle * policy.retry_settle_scale.powi(attempt as i32),
-                        );
-                        self.sweep_chunk(&mut retry_pll, tone, nominal, tel)
-                    }))
-                };
-                match result {
-                    Ok((points, mut transcript)) => {
-                        if tel.is_enabled() && policy.is_some() {
-                            tel.add("supervisor.points_ok", 1);
-                            if attempt > 0 {
-                                tel.add("supervisor.points_recovered", 1);
-                            }
-                        }
-                        // Per-tone sequencers are chunk-agnostic: stamp
-                        // the tone's chunk position and splice the
-                        // stage-1 entry onto the walking clock so the
-                        // merged transcript is bitwise identical to the
-                        // unsupervised chunk walk.
-                        for transition in &mut transcript {
-                            transition.tone_index = j;
-                        }
-                        if j > 0 {
-                            if let Some(first) = transcript.first_mut() {
-                                first.t = tone_start_t;
-                            }
-                        }
-                        let point = match points.into_iter().next() {
-                            Some(p) => Ok(p),
-                            // `sweep_chunk` yields one point per tone;
-                            // defensive against an empty chunk result.
-                            None => Err(SweepPointError::DegenerateFit { f_mod_hz: f_mod }),
-                        };
-                        outcome = Some(ToneOutcome {
-                            point,
-                            transcript,
-                            incidents: std::mem::take(&mut incidents),
-                        });
-                        break;
-                    }
-                    Err(payload) => {
-                        let error = SweepPointError::from_panic(payload);
-                        if attempt == 0 {
-                            // The walking engine may be mid-tone (hold
-                            // engaged, events collecting): rewind to the
-                            // pre-tone state.
-                            pll.restore(&snap);
-                        }
-                        let retry = attempt < max_retries && error.is_retryable();
-                        let incident = Incident {
-                            f_mod_hz: f_mod,
-                            attempt,
-                            action: if retry {
-                                IncidentAction::Retried
-                            } else {
-                                IncidentAction::Quarantined
-                            },
-                            error: error.clone(),
-                        };
-                        if policy.is_some() {
-                            emit_incident(tel, &incident);
-                        }
-                        incidents.push(incident);
-                        if !retry {
-                            outcome = Some(ToneOutcome {
-                                point: Err(error),
-                                transcript: Vec::new(),
-                                incidents: std::mem::take(&mut incidents),
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
-            // The attempt loop always resolves: success, quarantine, or
-            // the final attempt quarantining above.
-            if let Some(o) = outcome {
-                outcomes.push(o);
-            }
-        }
-        outcomes
-    }
-
     /// Walks one contiguous run of modulation frequencies on `pll`,
     /// returning the measured points and the chunk's Table 2 transcript.
+    /// The first tone's stage 1 is stamped at the engine's current time.
     fn sweep_chunk<E: PllEngine>(
         &self,
         pll: &mut E,
@@ -853,9 +596,9 @@ impl TransferFunctionMonitor {
         let pc = PhaseCounter::new(s.test_clock_hz);
 
         let mut seq = if s.capture_transcript {
-            TestSequencer::new(mod_frequencies_hz.len())
+            TestSequencer::new(mod_frequencies_hz.len(), pll.time())
         } else {
-            TestSequencer::silent(mod_frequencies_hz.len())
+            TestSequencer::silent(mod_frequencies_hz.len(), pll.time())
         };
         let mut points = Vec::with_capacity(mod_frequencies_hz.len());
         let f_ref = pll.config().f_ref_hz;
@@ -1007,6 +750,7 @@ mod tests {
     use super::*;
     use pllbist_sim::behavioral::CpPll;
     use pllbist_sim::plan::Scheduler;
+    use pllbist_sim::supervisor::{IncidentAction, SupervisorPolicy};
 
     fn tiny_settings() -> MonitorSettings {
         MonitorSettings {
@@ -1085,12 +829,26 @@ mod tests {
 
     #[test]
     fn transcript_covers_every_stage() {
+        // Every tone walks stages 1–5 once, in order, on its own clock:
+        // stage 1 is entered when the tone's settled engine starts, and
+        // time never decreases within a tone.
         let cfg = PllConfig::paper_table3();
-        let monitor = TransferFunctionMonitor::new(tiny_settings());
-        let result = monitor.measure(&serial_plan(&cfg)).expect_healthy();
-        assert_eq!(result.transcript.len(), 3 * 5);
-        // Times non-decreasing.
-        assert!(result.transcript.windows(2).all(|w| w[0].t <= w[1].t));
+        let settings = tiny_settings();
+        let start = Scenario::with_lock_settle(&cfg, settings.resolved_loop_settle(&cfg).max(0.1))
+            .settle_fresh::<CpPll>()
+            .time();
+        let monitor = TransferFunctionMonitor::new(settings);
+        for threads in [1, 2] {
+            let result = monitor.measure(&plan_at(&cfg, threads)).expect_healthy();
+            assert_eq!(result.transcript.len(), 3 * 5);
+            for (tone_index, tone) in result.transcript.chunks(5).enumerate() {
+                let stages: Vec<u8> = tone.iter().map(|tr| tr.stage.number()).collect();
+                assert_eq!(stages, [1, 2, 3, 4, 5], "tone {tone_index}");
+                assert!(tone.iter().all(|tr| tr.tone_index == tone_index));
+                assert_eq!(tone[0].t.to_bits(), start.to_bits(), "tone {tone_index}");
+                assert!(tone.windows(2).all(|w| w[0].t <= w[1].t));
+            }
+        }
     }
 
     #[test]
@@ -1115,19 +873,35 @@ mod tests {
     }
 
     #[test]
-    fn device_walk_matches_serial_plan_bitwise() {
-        // measure_device (the pre-faultable continuous walk) and a
-        // serial unsupervised plan drive the engine through the same
-        // call sequence — the refactor's correctness oracle at the
-        // monitor layer.
+    fn device_walk_matches_serial_plan_physics() {
+        // measure_device walks every tone on one engine, a plan settles
+        // each tone separately: the settle histories differ, so only
+        // low-order bits may differ. The walk's transcript is on one
+        // clock and never runs backwards.
         let cfg = PllConfig::paper_table3();
         let monitor = TransferFunctionMonitor::new(tiny_settings());
         let planned = monitor.measure(&serial_plan(&cfg)).expect_healthy();
         let mut pll = CpPll::new_locked(&cfg);
         let device = monitor.measure_device(&mut pll, &TelemetryConfig::disabled());
         assert_eq!(device.nominal, planned.nominal);
-        assert_eq!(device.points, planned.points);
-        assert_eq!(device.transcript, planned.transcript);
+        assert_eq!(device.points.len(), planned.points.len());
+        for (a, b) in device.points.iter().zip(&planned.points) {
+            assert_eq!(a.f_mod_hz, b.f_mod_hz);
+            let rel = (a.delta_f_hz - b.delta_f_hz).abs() / a.delta_f_hz.abs().max(1.0);
+            assert!(
+                rel < 0.05,
+                "f = {}: device ΔF {} vs plan ΔF {}",
+                a.f_mod_hz,
+                a.delta_f_hz,
+                b.delta_f_hz
+            );
+        }
+        assert_eq!(device.transcript.len(), planned.transcript.len());
+        assert!(device.transcript.windows(2).all(|w| w[0].t <= w[1].t));
+        assert!(
+            device.transcript[0].t > 0.0,
+            "stage 1 starts after the nominal reading"
+        );
     }
 
     #[test]
@@ -1137,8 +911,8 @@ mod tests {
         let serial = monitor.measure(&serial_plan(&cfg)).expect_healthy();
         let parallel = monitor.measure(&plan_at(&cfg, 2)).expect_healthy();
         // Same tones, same order, full Table 2 transcript, and the same
-        // physics (worker loops settle independently, so only low-order
-        // bits may differ from the serial walk).
+        // physics. (The two plans are in fact bit-identical — the plan
+        // matrix in tests/monitor_plan_matrix.rs pins that.)
         assert_eq!(serial.points.len(), parallel.points.len());
         assert_eq!(parallel.transcript.len(), 3 * 5);
         for (a, b) in serial.points.iter().zip(&parallel.points) {

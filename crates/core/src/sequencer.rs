@@ -110,7 +110,7 @@ pub struct Transition {
 /// ```
 /// use pllbist::sequencer::{Stage, TestSequencer};
 ///
-/// let mut seq = TestSequencer::new(3); // three tones to sweep
+/// let mut seq = TestSequencer::new(3, 0.0); // three tones, starting at t = 0
 /// assert_eq!(seq.stage(), Stage::ApplyModulation);
 /// seq.advance(0.1); // modulation settled
 /// seq.advance(0.2); // output peak found
@@ -128,13 +128,15 @@ pub struct TestSequencer {
 }
 
 impl TestSequencer {
-    /// Creates a sequencer for a sweep of `tones` modulation frequencies.
+    /// Creates a sequencer for a sweep of `tones` modulation frequencies
+    /// whose first stage 1 is entered at simulation time `t_start` (the
+    /// engine's time when the first modulation is applied).
     ///
     /// # Panics
     ///
     /// Panics if `tones` is zero.
-    pub fn new(tones: usize) -> Self {
-        Self::with_transcript(tones, true)
+    pub fn new(tones: usize, t_start: f64) -> Self {
+        Self::with_transcript(tones, true, t_start)
     }
 
     /// Creates a sequencer that does not record its transcript — the
@@ -145,15 +147,15 @@ impl TestSequencer {
     /// # Panics
     ///
     /// Panics if `tones` is zero.
-    pub fn silent(tones: usize) -> Self {
-        Self::with_transcript(tones, false)
+    pub fn silent(tones: usize, t_start: f64) -> Self {
+        Self::with_transcript(tones, false, t_start)
     }
 
-    fn with_transcript(tones: usize, record: bool) -> Self {
+    fn with_transcript(tones: usize, record: bool, t_start: f64) -> Self {
         assert!(tones >= 1, "a sweep needs at least one tone");
         let transcript = if record {
             vec![Transition {
-                t: 0.0,
+                t: t_start,
                 stage: Stage::ApplyModulation,
                 tone_index: 0,
             }]
@@ -229,7 +231,7 @@ mod tests {
 
     #[test]
     fn stage_order_matches_table2() {
-        let mut seq = TestSequencer::new(1);
+        let mut seq = TestSequencer::new(1, 0.0);
         let mut order = vec![seq.stage()];
         while let Some(s) = seq.advance(0.0) {
             order.push(s);
@@ -258,7 +260,7 @@ mod tests {
 
     #[test]
     fn multi_tone_sweep_repeats_stages() {
-        let mut seq = TestSequencer::new(3);
+        let mut seq = TestSequencer::new(3, 0.0);
         let mut count = 0;
         while seq.advance(count as f64).is_some() {
             count += 1;
@@ -276,8 +278,8 @@ mod tests {
 
     #[test]
     fn silent_sequencer_walks_the_same_machine_without_transcript() {
-        let mut loud = TestSequencer::new(2);
-        let mut quiet = TestSequencer::silent(2);
+        let mut loud = TestSequencer::new(2, 0.5);
+        let mut quiet = TestSequencer::silent(2, 0.5);
         loop {
             let a = loud.advance(0.5);
             let b = quiet.advance(0.5);
@@ -292,8 +294,17 @@ mod tests {
     }
 
     #[test]
+    fn first_stage_is_stamped_at_the_start_time() {
+        let mut seq = TestSequencer::new(2, 0.3);
+        assert_eq!(seq.transcript()[0].t, 0.3);
+        assert_eq!(seq.transcript()[0].stage, Stage::ApplyModulation);
+        seq.advance(0.7);
+        assert_eq!(seq.transcript()[1].t, 0.7);
+    }
+
+    #[test]
     fn advance_after_finish_is_none() {
-        let mut seq = TestSequencer::new(1);
+        let mut seq = TestSequencer::new(1, 0.0);
         while seq.advance(0.0).is_some() {}
         assert_eq!(seq.advance(1.0), None);
         assert_eq!(seq.advance(2.0), None);

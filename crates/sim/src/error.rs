@@ -8,7 +8,7 @@
 //! lock qualification ([`crate::lock::wait_for_lock`]), the per-point
 //! guardrails of [`crate::supervisor::Supervised`], fault wiring
 //! ([`crate::config::FaultWiringError`]) and worker panics caught by
-//! [`crate::parallel::par_try_map_points`].
+//! [`crate::parallel::par_try_map_points_worker`].
 
 use crate::config::FaultWiringError;
 

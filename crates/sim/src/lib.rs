@@ -36,8 +36,8 @@
 //! injection), [`linear`] (closed-loop transfer function, eq. 4/5/6 of the
 //! paper), [`stimulus`] (sine FM, two-tone and multi-tone FSK — fig. 4),
 //! [`bench_measure`] (the fig. 3 bench-style measurement baseline that
-//! needs analogue node access), [`parallel`] (the scoped-thread sweep
-//! executor behind the `threads` knobs — each modulation point is
+//! needs analogue node access), [`parallel`] (the one work-stealing
+//! executor under the campaign runner — each modulation point is
 //! independent, so sweeps scale with cores), and the robustness layer:
 //! [`error`] (the typed per-point failure taxonomy) plus [`supervisor`]
 //! (guardrails, panic isolation and deterministic quarantine-and-retry

@@ -1,36 +1,30 @@
-//! A `std::thread`-based parallel sweep executor.
+//! The workspace's one `std::thread` executor.
 //!
 //! The closed-loop |H(jω)| sweep (paper §4–§5) evaluates one independent
 //! FM modulation point per step — an embarrassingly parallel shape (the
 //! same one batched across parameter grids by the closed-form CP-PLL
-//! models of Kuznetsov et al.). This module provides the small,
-//! dependency-free executors the sweep paths share. Two schedules exist:
-//!
-//! - **Chunked** ([`par_map_chunks`] family): one contiguous chunk of
-//!   items per worker, joined at a barrier. Right when per-item work
-//!   shares mutable state within a worker (the monitor's serial walk),
-//!   but the barrier waits on the slowest chunk — quarantine-and-retry
-//!   skew (retried points cost many times a healthy point) idles every
-//!   other worker.
-//! - **Work-stealing** ([`par_map_points`] family): a shared
-//!   atomic work index over the point list; each worker repeatedly
-//!   claims the next unclaimed point and writes its result into that
-//!   point's pre-sized slot, so a straggler point delays only the worker
-//!   that owns it. This is the default schedule for all per-point sweep
-//!   paths.
+//! models of Kuznetsov et al.). [`par_map_points_worker`] schedules those
+//! points by **work stealing**: a shared atomic work index over the
+//! point list; each worker repeatedly claims the next unclaimed point
+//! and writes its result into that point's pre-sized slot, so a
+//! straggler point (e.g. a quarantine-and-retry cascade) delays only the
+//! worker that owns it. [`par_try_map_points_worker`] adds per-point
+//! panic containment. The campaign runner
+//! ([`crate::scenario::Scenario::run_points`]) is built on it, and every
+//! sweep in the workspace — the Table 2 monitor included — runs through
+//! that runner.
 //!
 //! Determinism contract: when the per-item function is a pure function of
-//! the item (as [`crate::bench_measure::measure_point`] is — it builds a
-//! fresh loop per point), the output vector is **bitwise identical** for
-//! every thread count, including `1`. Scheduling only changes *which
-//! worker* computes an item and *when*, never the item's inputs, and
-//! results are reassembled in input order.
+//! the item (as every runner capture is — each point starts from its own
+//! settled loop), the output vector is **bitwise identical** for every
+//! thread count, including `1`. Scheduling only changes *which worker*
+//! computes an item and *when*, never the item's inputs, and results are
+//! reassembled in input order.
 //!
 //! `threads` convention used across the workspace: `0` means "auto"
-//! (use [`available_parallelism`]), `1` forces the serial path (no
-//! threads spawned — useful both for debugging and for bit-exact
-//! reproduction of historical serial runs in the stateful monitor case),
-//! and any other value is an explicit worker count.
+//! (use [`available_parallelism`]), `1` runs every point inline on the
+//! caller's thread (no threads spawned — useful for debugging), and any
+//! other value is an explicit worker count.
 
 /// The host's available parallelism (1 if it cannot be determined).
 pub fn available_parallelism() -> usize {
@@ -47,195 +41,34 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Splits `items` into exactly `workers` contiguous chunks whose lengths
-/// differ by at most one (`workers` must be ≤ `items.len()`).
-///
-/// The previous `div_ceil`-sized chunking could *starve* workers: 9
-/// items on 4 threads produced 3 chunks of 3, so only 3 workers were
-/// ever spawned while telemetry reported 4. The balanced split hands the
-/// first `len % workers` workers one extra item, so the spawned worker
-/// count always equals the reported one.
-fn balanced_chunks<T>(items: &[T], workers: usize) -> Vec<&[T]> {
-    let base = items.len() / workers;
-    let rem = items.len() % workers;
-    let mut chunks = Vec::with_capacity(workers);
-    let mut start = 0;
-    for worker in 0..workers {
-        let len = base + usize::from(worker < rem);
-        chunks.push(&items[start..start + len]);
-        start += len;
-    }
-    debug_assert_eq!(start, items.len());
-    chunks
-}
-
-/// Maps `f` over `items` on up to `threads` workers (`0` = auto),
-/// returning results in input order.
-///
-/// Items are split into at most `threads` contiguous chunks; each worker
-/// owns one chunk. With one worker (or one item) no thread is spawned and
-/// the map runs inline on the caller's stack.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` (the scope joins all workers first).
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_chunks(
-        items,
-        threads,
-        &pllbist_telemetry::Collector::disabled(),
-        |_, chunk| chunk.iter().map(&f).collect(),
-    )
-}
-
-/// [`par_map_chunks`] with per-worker telemetry: each worker's chunk is
-/// wrapped in a `parallel.chunk` span (worker index + item count), chunk
-/// wall times feed the `parallel.chunk_wall_secs` histogram, and the
-/// whole scope reports `parallel.items`, `parallel.workers` and the
-/// busy-vs-idle `parallel.utilization` gauge (1.0 = every worker busy
-/// for the full scope).
-///
-/// `f` additionally receives the worker's chunk index. Telemetry never
-/// influences the work: the returned vector is bitwise identical to
-/// [`par_map_chunks`] for every thread count and collector state.
-pub fn par_map_chunks<T, R, F>(
-    items: &[T],
-    threads: usize,
-    telemetry: &pllbist_telemetry::Collector,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    let workers = resolve_threads(threads).max(1).min(items.len().max(1));
-    if workers <= 1 {
-        let _scope = pllbist_telemetry::span!(telemetry, "parallel.scope", workers = 1u64);
-        let start = std::time::Instant::now();
-        let out = {
-            let _chunk = pllbist_telemetry::span!(
-                telemetry,
-                "parallel.chunk",
-                worker = 0u64,
-                items = items.len()
-            );
-            f(0, items)
-        };
-        if telemetry.is_enabled() {
-            telemetry.observe("parallel.chunk_wall_secs", start.elapsed().as_secs_f64());
-            telemetry.add("parallel.items", items.len() as u64);
-            telemetry.gauge("parallel.workers", 1.0);
-            telemetry.gauge("parallel.utilization", 1.0);
-        }
-        return out;
-    }
-    let scope_start = std::time::Instant::now();
-    let _scope = pllbist_telemetry::span!(telemetry, "parallel.scope", workers = workers as u64);
-    let f = &f;
-    let (out, busy): (Vec<R>, f64) = std::thread::scope(|scope| {
-        let handles: Vec<_> = balanced_chunks(items, workers)
-            .into_iter()
-            .enumerate()
-            .map(|(worker, chunk)| {
-                let tel = telemetry.clone();
-                scope.spawn(move || {
-                    let start = std::time::Instant::now();
-                    let out = {
-                        let _chunk = pllbist_telemetry::span!(
-                            tel,
-                            "parallel.chunk",
-                            worker = worker,
-                            items = chunk.len()
-                        );
-                        f(worker, chunk)
-                    };
-                    let wall = start.elapsed().as_secs_f64();
-                    if tel.is_enabled() {
-                        tel.observe("parallel.chunk_wall_secs", wall);
-                        tel.add("parallel.items", chunk.len() as u64);
-                    }
-                    (out, wall)
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(items.len());
-        let mut busy = 0.0;
-        for h in handles {
-            // Re-raise a worker panic with its original payload so a
-            // `catch_unwind` upstream (or a `#[should_panic]` test) sees
-            // the real message, not a generic join error.
-            let (chunk_out, wall) = match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            out.extend(chunk_out);
-            busy += wall;
-        }
-        (out, busy)
-    });
-    if telemetry.is_enabled() {
-        let scope_wall = scope_start.elapsed().as_secs_f64();
-        telemetry.gauge("parallel.workers", workers as f64);
-        if scope_wall > 0.0 {
-            telemetry.gauge("parallel.utilization", busy / (workers as f64 * scope_wall));
-        }
-    }
-    out
-}
-
-/// Work-stealing per-point map: `f` is applied to every `(index, item)`
-/// pair by up to `threads` workers pulling from a **shared atomic work
-/// index**, and results are written into a pre-sized slot vector so the
-/// output is in input order regardless of which worker computed what.
-///
-/// Unlike the chunk-barrier executors above, a straggler point (e.g. a
-/// quarantine-and-retry cascade costing many times a healthy point)
-/// delays only the worker that claimed it — the remaining workers keep
-/// draining the point list. When `f` is a pure function of
+/// Work-stealing per-point map: `f` is applied to every
+/// `(worker, index, item)` triple by up to `threads` workers pulling from
+/// a **shared atomic work index**, and results are written into a
+/// pre-sized slot vector so the output is in input order regardless of
+/// which worker computed what. When `f` is a pure function of
 /// `(index, item)`, output is **bitwise identical** at every thread
 /// count.
 ///
-/// Telemetry (replacing the chunk spans of the chunked executors): one
-/// `parallel.worker` span per worker, per-worker wall times in the
-/// `parallel.worker_wall_secs` histogram, per-worker claimed-point
-/// counts in `parallel.points` and `parallel.worker.<w>.points`, plus
-/// the scope-level `parallel.workers` / `parallel.utilization` gauges
-/// (the worker count reported is the count actually spawned).
+/// `f` receives the index of the worker executing the point so observers
+/// (e.g. the campaign progress board's per-worker utilization and
+/// heartbeat cells) can attribute work without thread-locals. The worker
+/// index is **observational only** — a pure `f` must not let it
+/// influence the result, or the bitwise-determinism contract across
+/// thread counts breaks (the same point lands on different workers on
+/// different runs).
+///
+/// Telemetry: one `parallel.worker` span per worker, per-worker wall
+/// times in the `parallel.worker_wall_secs` histogram, per-worker
+/// claimed-point counts in `parallel.points` and
+/// `parallel.worker.<w>.points`, plus the scope-level
+/// `parallel.workers` / `parallel.utilization` gauges (the worker count
+/// reported is the count actually spawned). Telemetry never influences
+/// the work.
 ///
 /// # Panics
 ///
 /// Re-raises a panic from `f` (the scope joins all workers first). For
-/// typed per-point containment use [`par_try_map_points`].
-pub fn par_map_points<T, R, F>(
-    items: &[T],
-    threads: usize,
-    telemetry: &pllbist_telemetry::Collector,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_points_worker(items, threads, telemetry, |_, i, item| f(i, item))
-}
-
-/// Worker-aware variant of [`par_map_points`]: `f` additionally
-/// receives the index of the worker executing the point, so observers
-/// (e.g. the campaign progress board's per-worker utilization and
-/// heartbeat cells) can attribute work without thread-locals.
-///
-/// The worker index is **observational only** — a pure `f` must not let
-/// it influence the result, or the bitwise-determinism contract across
-/// thread counts breaks (the same point lands on different workers on
-/// different runs). All other semantics match
-/// [`par_map_points`], which delegates here.
+/// typed per-point containment use [`par_try_map_points_worker`].
 pub fn par_map_points_worker<T, R, F>(
     items: &[T],
     threads: usize,
@@ -342,34 +175,16 @@ where
         .collect()
 }
 
-/// Panic-isolating variant of [`par_map_points`] for per-point
+/// Panic-isolating variant of [`par_map_points_worker`] for per-point
 /// `Result` pipelines: each point runs inside its own `catch_unwind`, so
 /// a panic is rendered as
 /// [`SweepPointError::from_panic`](crate::error::SweepPointError::from_panic)
-/// for **that point alone** — an improvement over the chunked executor,
-/// which had to poison a panicking worker's whole chunk.
+/// for **that point alone**. An injected kill is re-raised
+/// ([`crate::error::rethrow_if_kill`]), never contained.
 ///
 /// Output order and the bitwise-determinism contract match
-/// [`par_map_points`]: on panic-free runs the two are
+/// [`par_map_points_worker`]: on panic-free runs the two are
 /// call-for-call identical.
-pub fn par_try_map_points<T, R, F>(
-    items: &[T],
-    threads: usize,
-    telemetry: &pllbist_telemetry::Collector,
-    f: F,
-) -> Vec<Result<R, crate::error::SweepPointError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Result<R, crate::error::SweepPointError> + Sync,
-{
-    par_try_map_points_worker(items, threads, telemetry, |_, i, item| f(i, item))
-}
-
-/// Worker-aware variant of [`par_try_map_points`] (see
-/// [`par_map_points_worker`] for the worker-index contract):
-/// per-point `catch_unwind` containment plus the executing worker's
-/// index for observers.
 pub fn par_try_map_points_worker<T, R, F>(
     items: &[T],
     threads: usize,
@@ -398,7 +213,17 @@ where
 mod tests {
     use super::*;
     use crate::error::SweepPointError;
-    use pllbist_telemetry::Collector;
+    use pllbist_telemetry::{Collector, Record, Value};
+
+    /// [`par_map_points_worker`] with the worker index dropped.
+    fn map<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        telemetry: &Collector,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_points_worker(items, threads, telemetry, |_, i, item| f(i, item))
+    }
 
     #[test]
     fn resolve_zero_is_auto() {
@@ -410,50 +235,35 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order_for_any_thread_count() {
+        // Early points cost the most, so workers finish out of order;
+        // the slots still come back in input order.
         let items: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
+        let work = |_: usize, &x: &u64| (0..(37 - x) * 2_000).fold(x, |acc, k| acc ^ k) ^ x;
+        let expect: Vec<u64> = items.iter().map(|x| work(0, x)).collect();
         for threads in [1, 2, 3, 4, 8, 64] {
-            let got = par_map(&items, threads, |&x| x * x);
+            let got = map(&items, threads, &Collector::disabled(), work);
             assert_eq!(got, expect, "threads = {threads}");
         }
     }
 
     #[test]
     fn par_map_handles_degenerate_inputs() {
+        let tel = Collector::disabled();
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, 4, |&x| x).is_empty());
-        assert_eq!(par_map(&[5u32], 4, |&x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn chunks_are_contiguous_and_cover_everything() {
-        let items: Vec<usize> = (0..10).collect();
-        let flat = par_map_chunks(&items, 3, &Collector::disabled(), |_, chunk| {
-            // Each worker sees a contiguous ascending run.
-            assert!(chunk.windows(2).all(|w| w[1] == w[0] + 1));
-            chunk.to_vec()
-        });
-        assert_eq!(flat, items);
-    }
-
-    #[test]
-    fn chunk_results_may_differ_in_length() {
-        let items: Vec<u32> = (0..9).collect();
-        let flat = par_map_chunks(&items, 2, &Collector::disabled(), |_, chunk| {
-            chunk.iter().filter(|&&x| x % 2 == 0).copied().collect()
-        });
-        assert_eq!(flat, vec![0, 2, 4, 6, 8]);
+        assert!(map(&empty, 4, &tel, |_, &x| x).is_empty());
+        assert_eq!(map(&[5u32], 4, &tel, |_, &x| x + 1), vec![6]);
     }
 
     #[test]
     fn float_results_are_bitwise_stable_across_thread_counts() {
         // The determinism contract the sweep paths rely on.
         let items: Vec<f64> = (1..=25).map(|k| k as f64 * 0.1).collect();
-        let work = |&x: &f64| (x.sin() * x.exp()).sqrt().to_bits();
-        let serial = par_map(&items, 1, work);
+        let work = |_: usize, &x: &f64| (x.sin() * x.exp()).sqrt().to_bits();
+        let tel = Collector::disabled();
+        let serial = map(&items, 1, &tel, work);
         for threads in [2, 4, 16] {
             assert_eq!(
-                par_map(&items, threads, work),
+                map(&items, threads, &tel, work),
                 serial,
                 "threads = {threads}"
             );
@@ -462,47 +272,33 @@ mod tests {
 
     #[test]
     fn worker_count_clamps_to_item_count() {
-        // More threads than items must not create empty-chunk workers:
-        // every spawned chunk carries at least one item, and results are
-        // unchanged.
+        // More threads than items must not spawn idle workers: the
+        // reported worker count and the worker spans stay within the
+        // item count, and results are unchanged.
         let items: Vec<u32> = (0..3).collect();
-        let tel = pllbist_telemetry::Collector::enabled();
-        let got = par_map_chunks(&items, 64, &tel, |_, chunk| {
-            assert!(!chunk.is_empty(), "empty-chunk worker spawned");
-            chunk.iter().map(|&x| x * 2).collect()
-        });
+        let tel = Collector::enabled();
+        let got = map(&items, 64, &tel, |_, &x| x * 2);
         assert_eq!(got, vec![0, 2, 4]);
         let records = tel.drain();
-        let chunk_spans = records
+        let worker_spans = records
             .iter()
-            .filter(|r| {
-                matches!(r, pllbist_telemetry::Record::Span { name, .. }
-                    if name == "parallel.chunk")
-            })
+            .filter(|r| matches!(r, Record::Span { name, .. } if name == "parallel.worker"))
             .count();
-        assert!(
-            (1..=3).contains(&chunk_spans),
-            "{chunk_spans} chunk spans for 3 items"
-        );
+        assert_eq!(worker_spans, 3, "one worker span per item");
         assert!(records.iter().any(|r| matches!(
             r,
-            pllbist_telemetry::Record::Counter { name, value: 3 } if name == "parallel.items"
+            Record::Gauge { name, value } if name == "parallel.workers" && *value == 3.0
         )));
     }
 
     #[test]
     fn observed_map_is_identical_with_and_without_telemetry() {
         let items: Vec<f64> = (1..=25).map(|k| k as f64 * 0.1).collect();
-        let work = |_w: usize, chunk: &[f64]| -> Vec<u64> {
-            chunk
-                .iter()
-                .map(|x| (x.sin() * x.exp()).sqrt().to_bits())
-                .collect()
-        };
-        let quiet = par_map_chunks(&items, 1, &pllbist_telemetry::Collector::disabled(), work);
+        let work = |_: usize, x: &f64| (x.sin() * x.exp()).sqrt().to_bits();
+        let quiet = map(&items, 1, &Collector::disabled(), work);
         for threads in [1, 2, 4, 16] {
-            let tel = pllbist_telemetry::Collector::enabled();
-            let got = par_map_chunks(&items, threads, &tel, work);
+            let tel = Collector::enabled();
+            let got = map(&items, threads, &tel, work);
             assert_eq!(got, quiet, "threads = {threads}");
             assert!(!tel.drain().is_empty());
         }
@@ -511,113 +307,67 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
+        // One thread runs inline on the caller's stack; the panic must
+        // still surface with its own message.
         let items: Vec<u32> = (0..8).collect();
-        let _ = par_map(&items, 2, |&x| {
+        let _ = map(&items, 1, &Collector::disabled(), |_, &x| {
             assert!(x < 6, "boom");
             x
         });
     }
 
     #[test]
-    fn balanced_chunks_spawn_every_requested_worker() {
-        // The regression from the issue: 9 items / 4 threads used to
-        // produce ceil(9/4)=3 chunks of 3, starving the fourth worker
-        // while telemetry reported workers=4.
+    fn stealing_map_spawns_every_worker_it_reports() {
+        // With 9 items on 4 threads, all four worker spans must appear.
         let items: Vec<u32> = (0..9).collect();
-        let chunks = balanced_chunks(&items, 4);
-        assert_eq!(chunks.len(), 4);
-        let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        assert_eq!(lens, vec![3, 2, 2, 2]);
-        let flat: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(flat, items);
-        // Exhaustive small-space check: every split is a contiguous
-        // cover with exactly `workers` non-empty, near-equal chunks.
-        for len in 1usize..=12 {
-            let items: Vec<usize> = (0..len).collect();
-            for workers in 1..=len {
-                let chunks = balanced_chunks(&items, workers);
-                assert_eq!(chunks.len(), workers, "len {len} workers {workers}");
-                let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-                let (min, max) = (sizes.iter().min().copied(), sizes.iter().max().copied());
-                assert!(
-                    min.unwrap() >= 1,
-                    "len {len} workers {workers}: empty chunk"
-                );
-                assert!(
-                    max.unwrap() - min.unwrap() <= 1,
-                    "len {len} workers {workers}: unbalanced {sizes:?}"
-                );
-                let flat: Vec<usize> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-                assert_eq!(flat, items, "len {len} workers {workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_map_runs_every_worker_it_reports() {
-        // Observable spawn-count check through the public API: with 9
-        // items on 4 threads all four chunk spans must appear.
-        let items: Vec<u32> = (0..9).collect();
-        let tel = pllbist_telemetry::Collector::enabled();
-        let got = par_map_chunks(&items, 4, &tel, |_, chunk| {
-            chunk.iter().map(|&x| x + 1).collect()
-        });
+        let tel = Collector::enabled();
+        let got = map(&items, 4, &tel, |_, &x| x + 1);
         assert_eq!(got, (1..=9).collect::<Vec<u32>>());
-        let records = tel.drain();
-        let chunk_workers: std::collections::BTreeSet<u64> = records
+        let workers: std::collections::BTreeSet<u64> = tel
+            .drain()
             .iter()
             .filter_map(|r| match r {
-                pllbist_telemetry::Record::Span { name, fields, .. }
-                    if name == "parallel.chunk" =>
-                {
+                Record::Span { name, fields, .. } if name == "parallel.worker" => {
                     fields.iter().find_map(|(k, v)| match v {
-                        pllbist_telemetry::Value::U64(w) if *k == "worker" => Some(*w),
+                        Value::U64(w) if *k == "worker" => Some(*w),
                         _ => None,
                     })
                 }
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            chunk_workers,
-            (0..4).collect(),
-            "every reported worker must actually run a chunk"
-        );
+        assert_eq!(workers, (0..4).collect(), "every reported worker runs");
     }
 
     #[test]
     fn stealing_map_preserves_order_for_any_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        let tel = pllbist_telemetry::Collector::disabled();
+        let tel = Collector::disabled();
         for threads in [1, 2, 3, 4, 8, 16, 64] {
-            let got = par_map_points(&items, threads, &tel, |_, &x| x * x);
+            let got = map(&items, threads, &tel, |_, &x| x * x);
             assert_eq!(got, expect, "threads = {threads}");
         }
         let empty: Vec<u64> = Vec::new();
-        assert!(par_map_points(&empty, 4, &tel, |_, &x| x).is_empty());
+        assert!(map(&empty, 4, &tel, |_, &x| x).is_empty());
     }
 
     #[test]
     fn stealing_map_is_bitwise_stable_across_thread_counts() {
         let items: Vec<f64> = (1..=41).map(|k| k as f64 * 0.07).collect();
         let work = |i: usize, x: &f64| (x.sin() * (x + i as f64).exp()).sqrt().to_bits();
-        let tel = pllbist_telemetry::Collector::disabled();
-        let serial = par_map_points(&items, 1, &tel, work);
+        let tel = Collector::disabled();
+        let serial = map(&items, 1, &tel, work);
         for threads in [2, 4, 16] {
-            let tel_on = pllbist_telemetry::Collector::enabled();
-            let got = par_map_points(&items, threads, &tel_on, work);
+            let tel_on = Collector::enabled();
+            let got = map(&items, threads, &tel_on, work);
             assert_eq!(got, serial, "threads = {threads}");
             let records = tel_on.drain();
             // Per-worker telemetry: claimed points sum to the item count.
             let total: u64 = records
                 .iter()
                 .filter_map(|r| match r {
-                    pllbist_telemetry::Record::Counter { name, value }
-                        if name == "parallel.points" =>
-                    {
-                        Some(*value)
-                    }
+                    Record::Counter { name, value } if name == "parallel.points" => Some(*value),
                     _ => None,
                 })
                 .sum();
@@ -630,11 +380,11 @@ mod tests {
         let items: Vec<u32> = (0..8).collect();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let tel = pllbist_telemetry::Collector::disabled();
+        let tel = Collector::disabled();
         let results: Vec<Vec<_>> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                par_try_map_points(&items, threads, &tel, |_, &x| {
+                par_try_map_points_worker(&items, threads, &tel, |_, _, &x| {
                     assert!(x != 6, "poisoned point {x}");
                     Ok(x * 10)
                 })
@@ -643,8 +393,7 @@ mod tests {
         std::panic::set_hook(prev);
         for (result, &threads) in results.iter().zip(&[1usize, 2, 4]) {
             assert_eq!(result.len(), items.len(), "threads = {threads}");
-            // Exactly ONE point fails — per-point containment, unlike
-            // the chunked executor's whole-chunk poisoning.
+            // Exactly ONE point fails — per-point containment.
             for (i, r) in result.iter().enumerate() {
                 if i == 6 {
                     assert!(
@@ -669,9 +418,9 @@ mod tests {
     #[test]
     fn worker_aware_map_reports_valid_workers_and_identical_results() {
         let items: Vec<f64> = (1..=33).map(|k| k as f64 * 0.11).collect();
-        let tel = pllbist_telemetry::Collector::disabled();
+        let tel = Collector::disabled();
         let work = |i: usize, x: &f64| (x.cos() + i as f64).to_bits();
-        let plain = par_map_points(&items, 1, &tel, work);
+        let plain = map(&items, 1, &tel, work);
         for threads in [1, 2, 4, 16] {
             let seen = std::sync::Mutex::new(std::collections::BTreeSet::new());
             let got = par_map_points_worker(&items, threads, &tel, |worker, i, x| {
@@ -695,8 +444,8 @@ mod tests {
     #[should_panic(expected = "stealing boom")]
     fn stealing_map_propagates_uncontained_panics() {
         let items: Vec<u32> = (0..8).collect();
-        let tel = pllbist_telemetry::Collector::disabled();
-        let _ = par_map_points(&items, 2, &tel, |_, &x| {
+        let tel = Collector::disabled();
+        let _ = map(&items, 2, &tel, |_, &x| {
             assert!(x < 6, "stealing boom");
             x
         });

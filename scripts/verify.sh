@@ -55,6 +55,30 @@ for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'fn solve_crossing' 
   fi
 done
 
+# Every sweep, the Table 2 monitor included, runs on the one campaign
+# runner (Scenario::run_points) over the one work-stealing executor in
+# parallel.rs. This gate keeps it that way: a second thread::scope, a
+# revived chunk executor, or containment hand-rolled in the core crate
+# means a measurement grew its own executor instead of using the runner.
+echo "==> one-executor gate (one thread::scope; no chunk executor; no containment in crates/core)"
+n=$({ grep -rn 'thread::scope' crates/sim/src crates/core/src || true; } | wc -l)
+if [ "$n" -gt 1 ]; then
+  echo "one-executor gate: thread::scope appears ${n} times under crates/{sim,core}/src —"
+  echo "schedule work through parallel::par_map_points_worker"
+  exit 1
+fi
+for def in 'fn par_map_chunks' 'fn balanced_chunks' 'fn par_map'; do
+  if grep -rnE "\\b${def}\\b" crates/sim/src crates/core/src; then
+    echo "one-executor gate: '${def}' is defined again — use par_map_points_worker"
+    exit 1
+  fi
+done
+if grep -rnE 'catch_unwind|pllbist_sim::parallel::' crates/core/src; then
+  echo "one-executor gate: crates/core/src contains or schedules work itself —"
+  echo "run it through Scenario::run_points / supervisor::supervised_point"
+  exit 1
+fi
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 
