@@ -24,36 +24,19 @@
 
 use pllbist_bench::progress::{ProgressLine, ProgressSource};
 use pllbist_sim::behavioral::CpPll;
-use pllbist_sim::campaign::{
-    bits_hex, config_digest, f64_from_bits_hex, json_str_field, CampaignLog, PointCodec,
-};
+use pllbist_sim::campaign::{config_digest, CampaignLog};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::parallel::available_parallelism;
 use pllbist_sim::scenario::{Scenario, SupervisedPoints};
 use pllbist_sim::supervisor::Supervised;
-use pllbist_sim::{PllEngine, SupervisorPolicy, SweepPointError};
-use pllbist_telemetry::{fields, Collector, Fields, ProgressBoard, RunReport, Value};
+use pllbist_sim::{PllEngine, SupervisorPolicy, SweepPointError, VoltsCodec};
+use pllbist_telemetry::{fields, Collector, ProgressBoard, RunReport};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Lock-settle for the campaign scenario: long enough that a retry's
 /// extended re-settle dominates a healthy point's cost.
 const LOCK_SETTLE: f64 = 0.2;
-
-/// Bin-local campaign codec: the point is the settled control voltage.
-struct VoltageCodec;
-
-impl PointCodec for VoltageCodec {
-    type Point = f64;
-
-    fn encode(&self, point: &f64) -> Fields {
-        vec![("v_bits".to_string(), Value::Str(bits_hex(*point)))]
-    }
-
-    fn decode(&self, line: &str) -> Option<f64> {
-        f64_from_bits_hex(&json_str_field(line, "v_bits")?)
-    }
-}
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
@@ -219,11 +202,11 @@ fn main() {
     ));
     let _ = std::fs::remove_file(&path);
     let run_resumable = |threads: usize| {
-        let log = CampaignLog::open(&path, VoltageCodec, digest.clone(), tones.len())
+        let log = CampaignLog::open(&path, VoltsCodec, digest.clone(), tones.len())
             .expect("open campaign log");
         let skipped = log.completed_count();
         let tel = Collector::disabled();
-        let swept = scenario.run_points::<CpPll, VoltageCodec, _>(
+        let swept = scenario.run_points::<CpPll, VoltsCodec, _>(
             &tones,
             threads,
             true,

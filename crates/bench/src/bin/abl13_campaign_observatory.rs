@@ -1,20 +1,23 @@
 //! **Ablation abl13** — the campaign observatory: progress board, flight
-//! recorder and HTTP status server over a supervised resumable campaign.
+//! recorder and the campaign service's live per-job views over a
+//! supervised resumable campaign.
 //!
 //! Part A (no steering): the same retry-heavy campaign runs unobserved
-//! and then fully observed — flight recorder on, status server bound and
-//! answering — at 1, 4 and 16 threads. Every observed results file must
-//! be **byte-identical** to the unobserved reference, and the observer's
+//! and then fully observed — flight recorder on, snapshots read back —
+//! at 1, 4 and 16 threads. Every observed results file must be
+//! **byte-identical** to the unobserved reference, and the observer's
 //! wall-clock tax is measured (reported as an ungated trajectory
 //! metric).
 //!
-//! Part B (live service): the campaign runs on a background thread while
-//! the foreground polls the status server's `/progress` endpoint with
-//! the workspace's own `std::net` client. Completion counts must be
-//! **monotone non-decreasing** poll over poll, and `/workers` +
-//! `/incidents` must answer throughout. This doubles as the offline
-//! smoke for the service front door (`--progress` additionally mirrors
-//! the same snapshots to a terminal status line).
+//! Part B (live service): the campaign runs as a retry-heavy job on the
+//! crash-only [`CampaignService`], twice, each on a fresh root. One run
+//! is polled through the job's live views (`GET /jobs/<id>/progress`,
+//! `/workers`, `/incidents`) with the workspace's own `std::net`
+//! client; the other is not polled at all. Completion counts must be
+//! **monotone non-decreasing** poll over poll, the views must answer
+//! 404 with the journal state once the job is done, and the polled
+//! results file must be **byte-identical** to the unpolled one. This
+//! doubles as the offline smoke for the service's live views.
 //!
 //! Part C (post-mortem): a run is killed after a prefix of points — the
 //! observer drops without `finish()`, as in a real abort — and must
@@ -24,43 +27,26 @@
 //! uninterrupted results file byte-for-byte.
 //!
 //! Knobs: `PLLBIST_ABL13_POINTS` (default 12, minimum 8).
-//! `--jsonl <path>` writes the run report; `--progress` shows the live
-//! status line during Part B.
+//! `--jsonl <path>` writes the run report.
 
-use pllbist_bench::progress::{ProgressLine, ProgressSource};
 use pllbist_sim::behavioral::CpPll;
-use pllbist_sim::campaign::{
-    bits_hex, config_digest, f64_from_bits_hex, json_str_field, CampaignLog, PointCodec,
-};
+use pllbist_sim::campaign::{config_digest, json_str_field, CampaignLog};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::parallel::available_parallelism;
 use pllbist_sim::scenario::Scenario;
-use pllbist_sim::server::{http_get, StatusServer};
 use pllbist_sim::supervisor::Supervised;
-use pllbist_sim::{PllEngine, SupervisorPolicy, SweepPointError};
+use pllbist_sim::{
+    http_get, http_post, submission_body, CampaignPlan, CampaignService, FaultPlan, HttpError,
+    PllEngine, Scheduler, ServiceConfig, SupervisorPolicy, SweepPointError, VoltsCodec,
+};
 use pllbist_telemetry::recorder::{parse_dump, FlightEventKind};
-use pllbist_telemetry::{fields, json_u64_field, Collector, Fields, RunReport, Value};
+use pllbist_telemetry::{fields, json_u64_field, Collector, RunReport};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 const LOCK_SETTLE: f64 = 0.1;
-
-/// Bin-local campaign codec: the point is the settled control voltage.
-struct VoltageCodec;
-
-impl PointCodec for VoltageCodec {
-    type Point = f64;
-
-    fn encode(&self, point: &f64) -> Fields {
-        vec![("v_bits".to_string(), Value::Str(bits_hex(*point)))]
-    }
-
-    fn decode(&self, line: &str) -> Option<f64> {
-        f64_from_bits_hex(&json_str_field(line, "v_bits")?)
-    }
-}
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -99,10 +85,10 @@ impl Campaign<'_> {
         finish: bool,
         tones: &[f64],
     ) -> usize {
-        let log = CampaignLog::open(path, VoltageCodec, self.digest.clone(), self.tones.len())
+        let log = CampaignLog::open(path, VoltsCodec, self.digest.clone(), self.tones.len())
             .expect("open campaign log");
         let tel = Collector::disabled();
-        let swept = self.scenario.run_points::<CpPll, VoltageCodec, _>(
+        let swept = self.scenario.run_points::<CpPll, VoltsCodec, _>(
             tones,
             threads,
             true,
@@ -122,6 +108,73 @@ impl Campaign<'_> {
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pllbist_abl13_{}_{name}", std::process::id()))
+}
+
+/// One live view of a service job: the body while the job runs, or the
+/// journal state its 404 names when it does not (queued, between
+/// attempts, or finished).
+fn live_view(addr: SocketAddr, job: &str, view: &str) -> Result<String, String> {
+    match http_get(addr, &format!("/jobs/{job}/{view}")) {
+        Ok(body) => Ok(body),
+        Err(HttpError::Status { code: 404, body }) => {
+            Err(json_str_field(&body, "state").expect("a 404 view names the job state"))
+        }
+        Err(e) => panic!("poll /jobs/{job}/{view}: {e}"),
+    }
+}
+
+/// Runs `body` as a service job on a fresh root and returns its results
+/// file and flight dump. With `poll`, the job's live views are polled
+/// until it is done: returns the number of live `/progress` answers,
+/// each asserted monotone in `done`.
+fn service_job(root: &Path, body: &str, job: &str, poll: bool) -> (Vec<u8>, String, u64) {
+    let _ = std::fs::remove_dir_all(root);
+    let service = CampaignService::start(ServiceConfig::rooted(root)).expect("start service");
+    let addr = service.addr();
+    let reply = http_post(addr, "/jobs", body).expect("submit job");
+    assert!(reply.contains(job), "the reply names the job: {reply}");
+    let mut polls = 0u64;
+    if poll {
+        let mut last_done = 0u64;
+        loop {
+            match live_view(addr, job, "progress") {
+                Ok(progress) => {
+                    let done = json_u64_field(&progress, "done").expect("done in /progress");
+                    assert!(
+                        done >= last_done,
+                        "completion count went backwards: {last_done} -> {done}"
+                    );
+                    assert!(progress.contains("\"heartbeat_age_secs\""));
+                    last_done = done;
+                    polls += 1;
+                    // The job may finish between two views; a 404 then
+                    // is an answer, not a failure.
+                    if let Ok(workers) = live_view(addr, job, "workers") {
+                        assert!(workers.contains("\"type\":\"workers\""));
+                    }
+                    if let Ok(incidents) = live_view(addr, job, "incidents") {
+                        assert!(incidents.contains("\"type\":\"incidents\""));
+                    }
+                }
+                Err(state) if state == "done" => break,
+                Err(state) => assert_ne!(state, "failed", "the live job failed"),
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        for view in ["progress", "workers", "incidents"] {
+            assert_eq!(
+                live_view(addr, job, view),
+                Err("done".to_string()),
+                "a finished job's /{view} answers 404 with its state"
+            );
+        }
+    }
+    // Shutdown drains: the queued job runs to completion first.
+    service.shutdown();
+    let dir = root.join(format!("job-{job}"));
+    let results = std::fs::read(dir.join("campaign.jsonl")).expect("service results file");
+    let flight = std::fs::read_to_string(dir.join("campaign.flight.jsonl")).expect("flight dump");
+    (results, flight, polls)
 }
 
 fn main() {
@@ -167,24 +220,24 @@ fn main() {
         let flight = path.with_extension("flight.jsonl");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&flight);
-        let observer = Arc::new(CampaignObserver::new(
-            points,
-            threads,
-            ObservatoryConfig::for_results_file(&path),
-        ));
-        let server =
-            StatusServer::start(Arc::clone(&observer), "127.0.0.1:0").expect("bind status server");
+        let observer =
+            CampaignObserver::new(points, threads, ObservatoryConfig::for_results_file(&path));
         let t1 = Instant::now();
         campaign.run(&path, threads, Some(&observer), true, &tones);
         if threads == 1 {
             observed_secs = t1.elapsed().as_secs_f64();
         }
         observer.finish().expect("flight dump");
-        server.shutdown();
         assert_eq!(
             std::fs::read(&path).expect("observed results file"),
             reference,
-            "threads {threads}: observer + server changed the results file"
+            "threads {threads}: the observer changed the results file"
+        );
+        let snap = observer.snapshot();
+        assert_eq!(
+            (snap.done, snap.quarantined),
+            (points as u64, n_sick as u64),
+            "threads {threads}: the board saw every point"
         );
         let dump = std::fs::read_to_string(&flight).expect("flight dump exists");
         let events = parse_dump(&dump);
@@ -224,75 +277,49 @@ fn main() {
         ],
     );
 
-    // ---- Part B: live status server over a running campaign ----------
-    let live_path = tmp("live.jsonl");
-    let _ = std::fs::remove_file(&live_path);
-    let observer = Arc::new(CampaignObserver::new(
-        points,
-        cores.max(2),
-        ObservatoryConfig::default(),
-    ));
-    let server =
-        StatusServer::start(Arc::clone(&observer), "127.0.0.1:0").expect("bind status server");
-    let addr = server.addr();
-    let progress_observer = Arc::clone(&observer);
-    let progress_line = ProgressLine::if_requested(
-        "abl13 live campaign",
-        Arc::new(move || progress_observer.snapshot()) as ProgressSource,
-    );
-
-    let polls = std::thread::scope(|scope| {
-        let worker = scope.spawn(|| campaign.run(&live_path, 0, Some(&observer), true, &tones));
-        let mut polls = 0u64;
-        let mut last_done = 0u64;
-        loop {
-            let body = http_get(addr, "/progress").expect("poll /progress");
-            let done = json_u64_field(&body, "done").expect("done field in /progress");
-            assert!(
-                done >= last_done,
-                "completion count went backwards: {last_done} -> {done}"
-            );
-            last_done = done;
-            polls += 1;
-            assert!(http_get(addr, "/workers")
-                .expect("poll /workers")
-                .contains("\"type\":\"workers\""));
-            assert!(http_get(addr, "/incidents")
-                .expect("poll /incidents")
-                .contains("\"type\":\"incidents\""));
-            if done >= points as u64 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(
-            worker.join().expect("campaign thread"),
-            n_sick,
-            "live campaign quarantines the sick prefix"
-        );
-        polls
-    });
-    observer.finish().expect("finish");
-    drop(progress_line);
-    let snap = observer.snapshot();
-    server.shutdown();
+    // ---- Part B: live per-job views on the campaign service ----------
+    // The service stimulates each tone for two modulation periods; the
+    // tones are scaled down 20× so the job runs long enough (~0.1 s on
+    // two cores) for the poller to catch it live.
+    let live_tones: Vec<f64> = tones.iter().map(|f| f / 20.0).collect();
+    let plan = CampaignPlan::new(cfg.clone())
+        .lock_settle(LOCK_SETTLE)
+        .supervised(SupervisorPolicy::default())
+        .scheduler(Scheduler::WorkStealing {
+            threads: cores.max(2),
+        });
+    let faults = FaultPlan {
+        flaky_retry: (0..n_sick).collect(),
+        ..FaultPlan::none()
+    };
+    let body = submission_body(&plan, &live_tones, "abl13-live", &faults);
+    let job = plan.digest(&live_tones, "abl13-live");
+    let polled_root = tmp("service_polled");
+    let unpolled_root = tmp("service_unpolled");
+    let (polled, flight_dump, polls) = service_job(&polled_root, &body, &job, true);
+    let (unpolled, _, _) = service_job(&unpolled_root, &body, &job, false);
+    assert!(polls >= 1, "no poll caught the job running");
     assert_eq!(
-        std::fs::read(&live_path).expect("live results file"),
-        reference,
-        "the served campaign's results file is still byte-identical"
+        polled, unpolled,
+        "polling the live views changed the job's results file"
     );
+    let events = parse_dump(&flight_dump);
+    let count = |kind: FlightEventKind| events.iter().filter(|e| e.kind == kind).count();
+    let (done, retries) = (count(FlightEventKind::Done), count(FlightEventKind::Retry));
+    assert_eq!(done, points, "one done event per point");
+    assert_eq!(retries, n_sick, "one retry per flaky point");
     println!(
-        " live poll: {polls} monotone /progress polls, final \
-         {}/{} done, {} retries",
-        snap.done, snap.total, snap.retries
+        " live service: {polls} monotone /jobs/<id>/progress polls, \
+         {done}/{points} done, {retries} retries, polled file byte-identical"
     );
     report.result(
         "server",
         fields![
             polls = polls,
             monotone = true,
-            done = snap.done,
-            retries = snap.retries
+            done = done,
+            retries = retries,
+            polled_byte_identical = true
         ],
     );
 
@@ -373,18 +400,15 @@ fn main() {
         ],
     );
 
-    for path in [
-        &reference_path,
-        &live_path,
-        &killed_path,
-        &flight,
-        &stall_flight,
-    ] {
+    for path in [&reference_path, &killed_path, &flight, &stall_flight] {
         let _ = std::fs::remove_file(path);
+    }
+    for root in [&polled_root, &unpolled_root] {
+        let _ = std::fs::remove_dir_all(root);
     }
     report.finish().expect("write --jsonl output");
     println!(
-        "\nabl13: PASS — observation never steers, the status server reports \
-         monotone progress, and killed runs leave parseable timelines"
+        "\nabl13: PASS — observation never steers, the service's live views \
+         report monotone progress, and killed runs leave parseable timelines"
     );
 }

@@ -1,14 +1,14 @@
 //! `--progress` terminal status line for long-running ablation bins.
 //!
-//! Passing `--progress` to abl05/abl11/abl12/abl13 spawns one
-//! background thread that rewrites a single stderr line (`\r`, no
+//! Passing `--progress` to a bench bin (abl05, abl11, abl12, …) spawns
+//! one background thread that rewrites a single stderr line (`\r`, no
 //! scrolling) from a [`CampaignProgress`] snapshot source at ~10 Hz —
-//! the same snapshot type the campaign status server serves, so a bin
-//! watched in a terminal and a campaign polled over HTTP report through
-//! one code path. The snapshot source is a closure, so bins can feed it
-//! from a full `CampaignObserver` (abl13) or from a coarse standalone
-//! [`pllbist_telemetry::ProgressBoard`] ticked per work unit (abl05,
-//! abl11, abl12).
+//! the same snapshot type the campaign service's live
+//! `GET /jobs/<id>/progress` view serves, so a bin watched in a
+//! terminal and a job polled over HTTP report through one code path.
+//! The snapshot source is a closure, so a bin can feed it from a full
+//! `CampaignObserver` or from a coarse standalone
+//! [`pllbist_telemetry::ProgressBoard`] ticked per work unit.
 //!
 //! The line goes to **stderr** so `--jsonl`-style stdout consumers and
 //! piped tables never see control characters. Dropping the handle stops

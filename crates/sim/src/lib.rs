@@ -91,7 +91,7 @@ pub use linear::LoopAnalysis;
 pub use observe::{CampaignObserver, ObservatoryConfig};
 pub use plan::{CampaignPlan, Scheduler};
 pub use scenario::{run_plan, PlanOutcome, Scenario, SupervisedPoints};
-pub use server::{http_get, http_get_with_retries, http_post, HttpError, StatusServer};
+pub use server::{http_get, http_get_with_retries, http_post, HttpError};
 pub use service::{
     submission_body, CampaignService, CrashFault, FaultPlan, JobSpec, ServiceConfig, VoltsCodec,
 };

@@ -7,8 +7,9 @@
 //! sweep path ([`crate::scenario::Scenario::run_points`], reached by
 //! attaching the observer via [`crate::plan::CampaignPlan::observed`])
 //! calls its hooks as points are claimed, finished and flushed; the
-//! status server ([`crate::server::StatusServer`]) and the `--progress`
-//! terminal line read snapshots back out.
+//! campaign service's per-job views (`GET /jobs/<id>/progress`,
+//! `/workers`, `/incidents` on [`crate::service::CampaignService`]) and
+//! the `--progress` terminal line read snapshots back out.
 //!
 //! **No-steering contract.** Every hook is observation only: relaxed
 //! atomic increments, a mutex push on an event ring, wall-clock reads.

@@ -192,8 +192,8 @@ impl<'a> Scenario<'a> {
     ///   (`campaign.sidecar_rejects`) falls back to settling — and the
     ///   fresh snapshot is stored for the next restart. Restores are
     ///   bit-exact, so the sidecar never changes results.
-    /// * `observer` — live claims/outcomes/flushes for a status server
-    ///   or progress line; read-only by construction.
+    /// * `observer` — live claims/outcomes/flushes for the service's
+    ///   per-job views or a progress line; read-only by construction.
     ///
     /// On a healthy grid the capture sequence — and therefore every
     /// result bit — is identical across **all** combinations at every

@@ -1,35 +1,15 @@
-//! Zero-dependency HTTP status server over a running campaign — the
-//! first brick of the ROADMAP item-2 campaign service front door.
+//! Zero-dependency HTTP/1.1 wire code for the crate's one HTTP surface,
+//! [`crate::service::CampaignService`].
 //!
-//! A [`StatusServer`] binds a `std::net::TcpListener` (typically on
-//! `127.0.0.1:0` for an ephemeral port), spawns one accept-loop thread
-//! and serves read-only JSON snapshots of a [`CampaignObserver`]:
-//!
-//! | endpoint     | body                                              |
-//! |--------------|---------------------------------------------------|
-//! | `/`          | endpoint index                                    |
-//! | `/progress`  | [`CampaignProgress::to_json`] + stall status      |
-//! | `/workers`   | [`CampaignProgress::workers_json`]                |
-//! | `/incidents` | [`CampaignProgress::incidents_json`]              |
-//!
-//! Serving a snapshot takes relaxed atomic loads only — the campaign's
-//! workers are never blocked, and the server cannot steer the run (the
-//! same no-steering contract as the observer itself). Requests are
-//! handled one at a time on the accept thread; responses close the
-//! connection (`Connection: close`), which is all a poller or a `curl`
-//! loop needs.
-//!
-//! [`CampaignProgress::to_json`]: pllbist_telemetry::CampaignProgress::to_json
-//! [`CampaignProgress::workers_json`]: pllbist_telemetry::CampaignProgress::workers_json
-//! [`CampaignProgress::incidents_json`]: pllbist_telemetry::CampaignProgress::incidents_json
+//! The server half (`read_http_request`, slow-loris safe under an
+//! overall deadline, and `write_http_response`, one `Connection: close`
+//! JSON reply) serves the service's router; the client half
+//! ([`http_get`], [`http_post`], [`http_get_with_retries`]) types its
+//! failures as [`HttpError`] so a caller can tell a fault from an answer.
 
 use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
-
-use crate::observe::CampaignObserver;
 
 /// Typed failure of an HTTP exchange ([`http_get`] / [`http_post`]).
 ///
@@ -52,7 +32,7 @@ pub enum HttpError {
     Status {
         /// HTTP status code (e.g. `404`, `429`, `503`).
         code: u16,
-        /// Response body (the servers here answer JSON).
+        /// Response body (the service answers JSON).
         body: String,
     },
 }
@@ -94,77 +74,6 @@ impl HttpError {
             HttpError::Malformed(_) => false,
         }
     }
-}
-
-/// A running status server; shuts down on [`Self::shutdown`] or drop.
-pub struct StatusServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl StatusServer {
-    /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `observer` snapshots.
-    pub fn start(observer: Arc<CampaignObserver>, bind: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("pllbist-status".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(mut stream) = conn {
-                        let _ = serve_connection(&mut stream, &observer);
-                    }
-                }
-            })?;
-        Ok(Self {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (use `addr().port()` after an ephemeral bind).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the accept loop and joins the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The accept loop blocks in accept(); a self-connection wakes it
-        // so it can observe the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for StatusServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn serve_connection(stream: &mut TcpStream, observer: &CampaignObserver) -> std::io::Result<()> {
-    let request = match read_http_request(stream, Duration::from_secs(2)) {
-        Some(request) if request.method == "GET" => request,
-        // Torn request, slow-loris, non-GET or shutdown self-connect.
-        _ => return Ok(()),
-    };
-    let (status, body) = route(&request.path, observer);
-    write_http_response(stream, status, &body)
 }
 
 /// Writes one `Connection: close` JSON response.
@@ -255,41 +164,10 @@ pub(crate) fn read_http_request(stream: &mut TcpStream, deadline: Duration) -> O
     Some(HttpRequest { method, path, body })
 }
 
-fn route(path: &str, observer: &CampaignObserver) -> (&'static str, String) {
-    let snap = observer.snapshot();
-    match path {
-        "/" => (
-            "200 OK",
-            "{\"endpoints\":[\"/progress\",\"/workers\",\"/incidents\"]}".to_string(),
-        ),
-        "/progress" => {
-            // Splice the stall status into the snapshot object so one
-            // poll answers "how far along" and "is it healthy".
-            let mut body = snap.to_json();
-            body.pop(); // trailing '}'
-            body.push_str(&format!(
-                ",\"stall_timeout_secs\":{:.6},\"heartbeat_age_secs\":{:.6}}}",
-                observer.stall_timeout_secs(),
-                observer.board().last_heartbeat_age_secs(),
-            ));
-            ("200 OK", body)
-        }
-        "/workers" => ("200 OK", snap.workers_json()),
-        "/incidents" => ("200 OK", snap.incidents_json()),
-        _ => (
-            "404 Not Found",
-            format!(
-                "{{\"error\":\"unknown endpoint\",\"path\":{:?}}}",
-                path.replace(['"', '\\'], "_")
-            ),
-        ),
-    }
-}
-
-/// Minimal blocking HTTP GET against a [`StatusServer`] or the campaign
-/// service: returns the 2xx response body, or a typed [`HttpError`].
-/// This is the client half used by the offline verify smoke and the
-/// `abl13_campaign_observatory` poller.
+/// Minimal blocking HTTP GET against the campaign service: returns the
+/// 2xx response body, or a typed [`HttpError`]. This is the client half
+/// used by the offline verify smoke and the `abl13_campaign_observatory`
+/// poller.
 ///
 /// # Errors
 ///
@@ -413,86 +291,7 @@ fn http_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::ObservatoryConfig;
-    use pllbist_telemetry::json::{json_str_field, json_u64_field};
-
-    #[test]
-    fn serves_all_endpoints_and_404() {
-        let observer = Arc::new(CampaignObserver::new(5, 2, ObservatoryConfig::default()));
-        observer.on_claim(0, 0);
-        observer.on_outcome(
-            0,
-            0,
-            &crate::supervisor::PointOutcome::<u64> {
-                result: Ok(1),
-                incidents: vec![],
-            },
-            0.001,
-        );
-        let server = StatusServer::start(Arc::clone(&observer), "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-
-        let index = http_get(addr, "/").unwrap();
-        assert!(index.contains("/progress"));
-
-        let progress = http_get(addr, "/progress").unwrap();
-        assert_eq!(json_u64_field(&progress, "total"), Some(5));
-        assert_eq!(json_u64_field(&progress, "done"), Some(1));
-        assert!(progress.contains("\"stall_timeout_secs\""));
-        assert!(progress.contains("\"heartbeat_age_secs\""));
-
-        let workers = http_get(addr, "/workers").unwrap();
-        assert_eq!(json_str_field(&workers, "type").as_deref(), Some("workers"));
-        assert_eq!(json_u64_field(&workers, "done"), Some(1));
-
-        let incidents = http_get(addr, "/incidents").unwrap();
-        assert_eq!(
-            json_str_field(&incidents, "type").as_deref(),
-            Some("incidents")
-        );
-        assert!(incidents.contains("\"lock_timeout\":0"));
-
-        // A 404 is a complete answer → typed status error, not a body.
-        match http_get(addr, "/nope") {
-            Err(HttpError::Status { code: 404, body }) => {
-                assert!(body.contains("unknown endpoint"));
-            }
-            other => panic!("expected 404 status error, got {other:?}"),
-        }
-
-        // Query strings are tolerated.
-        let q = http_get(addr, "/progress?pretty=1").unwrap();
-        assert_eq!(json_u64_field(&q, "total"), Some(5));
-
-        server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_is_idempotent_under_drop() {
-        let observer = Arc::new(CampaignObserver::new(1, 1, ObservatoryConfig::default()));
-        let server = StatusServer::start(observer, "127.0.0.1:0").unwrap();
-        let addr = server.addr();
-        drop(server);
-        // The port is released: connecting either fails or yields no
-        // HTTP response.
-        assert!(http_get(addr, "/progress").is_err() || TcpStream::connect(addr).is_err());
-    }
-
-    #[test]
-    fn non_get_requests_are_dropped() {
-        let observer = Arc::new(CampaignObserver::new(1, 1, ObservatoryConfig::default()));
-        let server = StatusServer::start(observer, "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(b"POST /progress HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        let _ = stream.read_to_string(&mut out);
-        assert!(out.is_empty(), "non-GET must not be served: {out}");
-        // The server stays healthy for subsequent GETs.
-        assert!(http_get(server.addr(), "/progress").is_ok());
-        server.shutdown();
-    }
+    use std::net::TcpListener;
 
     #[test]
     fn slow_loris_requests_hit_the_overall_deadline() {
@@ -540,6 +339,71 @@ mod tests {
     }
 
     #[test]
+    fn serves_all_endpoints_and_404() {
+        use crate::service::{submission_body, CampaignService, FaultPlan, ServiceConfig};
+        use crate::{CampaignPlan, ClosedFormPll, PllConfig};
+        use pllbist_telemetry::json::{json_str_field, json_u64_field};
+
+        let root = std::env::temp_dir().join(format!(
+            "pllbist_server_unit_{}_endpoints",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = CampaignService::start(ServiceConfig::rooted(&root)).unwrap();
+        let addr = service.addr();
+        let plan = CampaignPlan::new(PllConfig::paper_table3())
+            .engine::<ClosedFormPll>()
+            .lock_settle(0.05);
+        let grid = [5.0, 20.0];
+        let job = plan.digest(&grid, "endpoints");
+        let submit = http_post(
+            addr,
+            "/jobs",
+            &submission_body(&plan, &grid, "endpoints", &FaultPlan::none()),
+        )
+        .unwrap();
+        assert!(submit.contains(&job), "{submit}");
+        let started = Instant::now();
+        let detail = loop {
+            let detail = http_get(addr, &format!("/jobs/{job}")).unwrap();
+            if json_str_field(&detail, "state").as_deref() == Some("done") {
+                break detail;
+            }
+            assert!(started.elapsed().as_secs() < 60, "job not done in 60 s");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(json_u64_field(&detail, "results_lines"), Some(2));
+
+        let progress = http_get(addr, "/progress").unwrap();
+        assert_eq!(json_u64_field(&progress, "done"), Some(1));
+        assert!(progress.contains("\"running\":null"), "{progress}");
+        let jobs = http_get(addr, "/jobs").unwrap();
+        assert!(jobs.contains(&format!("\"job\":\"{job}\",\"state\":\"done\"")));
+        let results = http_get(addr, &format!("/jobs/{job}/results")).unwrap();
+        assert_eq!(results.matches("\"campaign.point\"").count(), 2);
+
+        // A 404 is a complete answer → typed status error, not a body.
+        let not_found = |path: &str| match http_get(addr, path) {
+            Err(HttpError::Status { code: 404, body }) => body,
+            other => panic!("{path}: expected 404 status error, got {other:?}"),
+        };
+        assert!(not_found("/nope").contains("no such endpoint"));
+        assert!(not_found("/").contains("no such endpoint"));
+        for view in ["progress", "workers", "incidents"] {
+            let body = not_found(&format!("/jobs/{job}/{view}"));
+            assert!(body.contains("\"error\":\"job not running\""), "{body}");
+            assert!(body.contains("\"state\":\"done\""), "{body}");
+        }
+
+        // Query strings are tolerated.
+        let q = http_get(addr, &format!("/jobs/{job}?pretty=1")).unwrap();
+        assert_eq!(json_u64_field(&q, "results_lines"), Some(2));
+
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn retry_wrapper_classifies_and_backs_off() {
         // Connection refused is retryable; all attempts burn, quickly.
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
@@ -551,12 +415,17 @@ mod tests {
             "5+10 ms backoff"
         );
         // A definitive 404 returns immediately, no retries.
-        let observer = Arc::new(CampaignObserver::new(1, 1, ObservatoryConfig::default()));
-        let server = StatusServer::start(observer, "127.0.0.1:0").unwrap();
-        let err =
-            http_get_with_retries(server.addr(), "/nope", 3, Duration::from_secs(10)).unwrap_err();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_http_request(&mut conn, Duration::from_secs(2)).unwrap();
+            write_http_response(&mut conn, "404 Not Found", "{\"error\":\"nope\"}").unwrap();
+        });
+        let err = http_get_with_retries(addr, "/nope", 3, Duration::from_secs(10)).unwrap_err();
         assert!(matches!(err, HttpError::Status { code: 404, .. }));
         assert!(!err.is_retryable());
+        server.join().unwrap();
         // Backpressure statuses are retryable.
         assert!(HttpError::Status {
             code: 429,
@@ -564,6 +433,5 @@ mod tests {
         }
         .is_retryable());
         assert!(!HttpError::Malformed("x".into()).is_retryable());
-        server.shutdown();
     }
 }

@@ -4,7 +4,9 @@
 //! (`std::net`, no dependencies), runs them through the existing
 //! work-stealing resumable pipeline
 //! ([`crate::scenario::Scenario::run_points`]) and streams results and
-//! progress back out. The design is **crash-only**: there is no
+//! progress back out, the running job's [`CampaignObserver`] included
+//! (`GET /jobs/<id>/progress`, `/workers`, `/incidents`): this router is
+//! the crate's one HTTP surface. The design is **crash-only**: there is no
 //! distinction between a crash and a normal stop. Every state
 //! transition lands in an append-only fsynced journal *before* the work
 //! it describes, the campaign results file is the same
@@ -521,11 +523,7 @@ impl JobSpec {
             .find(|l| l.contains("\"job.spec\""))
             .ok_or_else(|| "missing job.spec line".to_string())?;
         let digest = json_str_field(&header, "digest").ok_or("header missing digest")?;
-        if digest.len() != 16
-            || !digest
-                .chars()
-                .all(|c| c.is_ascii_digit() || ('a'..='f').contains(&c))
-        {
+        if !valid_job_id(&digest) {
             return Err("digest must be 16 lowercase hex characters".to_string());
         }
         let backend = json_str_field(&header, "backend").ok_or("header missing backend")?;
@@ -971,6 +969,8 @@ fn route(state: &Arc<ServiceState>, stream: &mut TcpStream, request: &HttpReques
     }
 }
 
+/// The job-id check: 16 lowercase hex characters. An id names a
+/// directory under the root, so this is also the path-traversal guard.
 fn valid_job_id(id: &str) -> bool {
     id.len() == 16
         && id
@@ -980,37 +980,79 @@ fn valid_job_id(id: &str) -> bool {
 
 fn job_detail(state: &Arc<ServiceState>, stream: &mut TcpStream, path: &str) {
     let rest = path.trim_start_matches("/jobs/");
-    let (job_id, want_results) = match rest.strip_suffix("/results") {
-        Some(id) => (id, true),
-        None => (rest, false),
+    let (job_id, view) = match rest.split_once('/') {
+        Some((id, view)) => (id, Some(view)),
+        None => (rest, None),
     };
-    if !valid_job_id(job_id) {
+    // The id check comes first: it is what keeps the path in the root.
+    if !valid_job_id(job_id) || !state.job_dir(job_id).join("submit.jsonl").is_file() {
         respond(stream, "404 Not Found", "{\"error\":\"no such job\"}");
         return;
     }
     let dir = state.job_dir(job_id);
-    if !dir.join("submit.jsonl").is_file() {
-        respond(stream, "404 Not Found", "{\"error\":\"no such job\"}");
-        return;
-    }
-    if want_results {
-        match std::fs::read_to_string(dir.join("campaign.jsonl")) {
+    match view {
+        None => {
+            let (job_state, attempts) = journal_summary(&state.journal_path(job_id));
+            let results_lines = std::fs::read_to_string(dir.join("campaign.jsonl"))
+                .map(|text| {
+                    text.lines()
+                        .filter(|l| l.contains("\"campaign.point\""))
+                        .count()
+                })
+                .unwrap_or(0);
+            let body = format!(
+                "{{\"job\":\"{job_id}\",\"state\":\"{job_state}\",\"attempts\":{attempts},\"results_lines\":{results_lines}}}"
+            );
+            respond(stream, "200 OK", &body);
+        }
+        Some("results") => match std::fs::read_to_string(dir.join("campaign.jsonl")) {
             Ok(text) => respond(stream, "200 OK", &text),
             Err(_) => respond(stream, "404 Not Found", "{\"error\":\"no results yet\"}"),
+        },
+        Some(view @ ("progress" | "workers" | "incidents")) => {
+            live_view(state, stream, job_id, view);
         }
-        return;
+        Some(_) => respond(stream, "404 Not Found", "{\"error\":\"no such endpoint\"}"),
     }
-    let (job_state, attempts) = journal_summary(&state.journal_path(job_id));
-    let results_lines = std::fs::read_to_string(dir.join("campaign.jsonl"))
-        .map(|text| {
-            text.lines()
-                .filter(|l| l.contains("\"campaign.point\""))
-                .count()
-        })
-        .unwrap_or(0);
-    let body = format!(
-        "{{\"job\":\"{job_id}\",\"state\":\"{job_state}\",\"attempts\":{attempts},\"results_lines\":{results_lines}}}"
-    );
+}
+
+/// Serves one view of the running job's live observer: `progress` (the
+/// snapshot with the stall status spliced in), `workers` or `incidents`.
+/// Only relaxed atomic loads, so a poller never blocks or steers the
+/// sweep. A job that is not running answers 404 with its journal state.
+fn live_view(state: &ServiceState, stream: &mut TcpStream, job_id: &str, view: &str) {
+    // Holding `running` while reading the observer pins the pair: the
+    // runner clears a job's observer before it moves on to the next job.
+    let running = lock(&state.running);
+    let observer = (running.as_deref() == Some(job_id))
+        .then(|| lock(&state.current_observer).clone())
+        .flatten();
+    drop(running);
+    let Some(observer) = observer else {
+        let (job_state, _) = journal_summary(&state.journal_path(job_id));
+        respond(
+            stream,
+            "404 Not Found",
+            &format!("{{\"error\":\"job not running\",\"state\":\"{job_state}\"}}"),
+        );
+        return;
+    };
+    let snap = observer.snapshot();
+    let body = match view {
+        "progress" => {
+            // One poll answers "how far along" and "is it healthy".
+            let mut body = snap.to_json();
+            body.pop(); // trailing '}'
+            body.push_str(&format!(
+                ",\"stall_timeout_secs\":{:.6},\"heartbeat_age_secs\":{:.6}}}",
+                observer.stall_timeout_secs(),
+                observer.board().last_heartbeat_age_secs(),
+            ));
+            body
+        }
+        "workers" => snap.workers_json(),
+        _ => snap.incidents_json(),
+    };
     respond(stream, "200 OK", &body);
 }
 
@@ -1406,6 +1448,7 @@ fn execute_attempt<E: PllEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{http_get, http_post, HttpError};
 
     fn exotic_config() -> PllConfig {
         PllConfig {
@@ -1579,5 +1622,104 @@ mod tests {
             JobSpec::parse(&submission_body(&general, &grid, "s", &FaultPlan::none()))
                 .expect("CpPll accepts every config");
         }
+    }
+
+    /// A service on a fresh root with one small closed-form job run to
+    /// `done`: `(service, job id, root)`.
+    fn service_with_done_job(name: &str) -> (CampaignService, String, PathBuf) {
+        let root = std::env::temp_dir().join(format!(
+            "pllbist_service_unit_{}_{name}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = CampaignService::start(ServiceConfig::rooted(&root)).expect("start");
+        let plan = CampaignPlan::new(PllConfig::paper_table3())
+            .engine::<ClosedFormPll>()
+            .lock_settle(0.05);
+        let grid = [5.0, 20.0];
+        let body = submission_body(&plan, &grid, "unit", &FaultPlan::none());
+        let job = plan.digest(&grid, "unit");
+        http_post(service.addr(), "/jobs", &body).expect("submit");
+        let started = Instant::now();
+        while journal_summary(&service.state.journal_path(&job)).0 != "done" {
+            assert!(started.elapsed().as_secs() < 60, "job not done in 60 s");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        (service, job, root)
+    }
+
+    /// The 404 body of `GET path`.
+    fn not_found(addr: SocketAddr, path: &str) -> String {
+        match http_get(addr, path) {
+            Err(HttpError::Status { code: 404, body }) => body,
+            other => panic!("{path}: expected 404, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_views_and_hostile_ids_get_404() {
+        let (service, job, root) = service_with_done_job("hostile");
+        let addr = service.addr();
+        for path in [
+            format!("/jobs/{job}/nope"),
+            format!("/jobs/{job}/"),
+            format!("/jobs/{job}/progress/extra"),
+        ] {
+            assert!(
+                not_found(addr, &path).contains("no such endpoint"),
+                "{path}"
+            );
+        }
+        for path in [
+            "/jobs/../progress",
+            "/jobs/../../etc/passwd",
+            "/jobs/zzzzzzzzzzzzzzzz/progress",
+            "/jobs/ABCDEFABCDEFABCD/workers",
+            "/jobs/0000000000000000/incidents",
+        ] {
+            assert!(not_found(addr, path).contains("no such job"), "{path}");
+        }
+        // The service keeps serving.
+        assert!(http_get(addr, "/progress").is_ok());
+        assert!(http_get(addr, &format!("/jobs/{job}")).is_ok());
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn non_get_view_requests_get_404() {
+        let (service, job, root) = service_with_done_job("post_view");
+        let addr = service.addr();
+        for view in ["progress", "workers", "incidents"] {
+            match http_post(addr, &format!("/jobs/{job}/{view}"), "{}") {
+                Err(HttpError::Status { code: 404, body }) => {
+                    assert!(body.contains("no such endpoint"), "{body}");
+                }
+                other => panic!("POST {view}: expected 404, got {other:?}"),
+            }
+        }
+        // The service keeps serving.
+        assert!(http_get(addr, "/progress").is_ok());
+        assert!(not_found(addr, &format!("/jobs/{job}/progress")).contains("\"state\":\"done\""));
+        drop(service);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn shutdown_is_idempotent_under_drop() {
+        let root =
+            std::env::temp_dir().join(format!("pllbist_service_unit_{}_drop", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = CampaignService::start(ServiceConfig::rooted(&root)).expect("start");
+        let addr = service.addr();
+        assert!(http_get(addr, "/progress").is_ok());
+        drop(service);
+        // The port is released: connecting either fails or yields no
+        // HTTP response.
+        assert!(http_get(addr, "/progress").is_err() || TcpStream::connect(addr).is_err());
+        // The drop journaled one clean stop.
+        let journal = std::fs::read_to_string(root.join("service.jsonl")).expect("journal");
+        assert_eq!(journal.matches("clean shutdown").count(), 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,41 +1,30 @@
 //! Contract tests for the campaign observatory: attaching the progress
-//! board, flight recorder and HTTP status server to a supervised
-//! resumable campaign must never change the physics — results files
-//! stay byte-identical with observability on or off, at every thread
-//! count — while a killed run leaves a parseable flight dump and the
-//! live endpoints report monotone progress.
+//! board and flight recorder to a supervised resumable campaign must
+//! never change the physics — results files stay byte-identical with
+//! observability on or off, at every thread count — while a killed run
+//! leaves a parseable flight dump, and the campaign service's live
+//! per-job views report monotone progress without changing the job's
+//! results file.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-use pllbist_sim::campaign::{bits_hex, f64_from_bits_hex, json_str_field, CampaignLog, PointCodec};
+use pllbist_sim::campaign::CampaignLog;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::scenario::Scenario;
-use pllbist_sim::server::{http_get, StatusServer};
-use pllbist_sim::{ClosedFormPll, PllEngine, SupervisorPolicy, SweepPointError};
+use pllbist_sim::{
+    http_get, http_post, submission_body, CampaignPlan, CampaignService, ClosedFormPll, FaultPlan,
+    HttpError, PllEngine, Scheduler, ServiceConfig, SupervisorPolicy, SweepPointError, VoltsCodec,
+};
+use pllbist_telemetry::json::json_str_field;
 use pllbist_telemetry::recorder::{parse_dump, FlightEventKind};
-use pllbist_telemetry::{json_u64_field, Collector, Fields, Value};
+use pllbist_telemetry::{json_u64_field, Collector};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("pllbist_observatory_it");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
-}
-
-/// Campaign codec over a plain `f64` point (control voltage).
-struct VoltageCodec;
-
-impl PointCodec for VoltageCodec {
-    type Point = f64;
-
-    fn encode(&self, point: &f64) -> Fields {
-        vec![("v_bits".to_string(), Value::Str(bits_hex(*point)))]
-    }
-
-    fn decode(&self, line: &str) -> Option<f64> {
-        f64_from_bits_hex(&json_str_field(line, "v_bits")?)
-    }
 }
 
 const TONES: [f64; 6] = [1.0, 3.0, 7.0, 9.0, 21.0, 55.0];
@@ -68,9 +57,9 @@ fn run_campaign(
     let scenario = Scenario::with_lock_settle(&cfg, 0.1);
     let policy = SupervisorPolicy::default();
     let tel = Collector::disabled();
-    let log = CampaignLog::open(path, VoltageCodec, "obsit0000000001".into(), TONES.len())
+    let log = CampaignLog::open(path, VoltsCodec, "obsit0000000001".into(), TONES.len())
         .expect("open log");
-    let swept = scenario.run_points::<ClosedFormPll, VoltageCodec, _>(
+    let swept = scenario.run_points::<ClosedFormPll, VoltsCodec, _>(
         tones,
         threads,
         true,
@@ -88,7 +77,7 @@ fn run_campaign(
 }
 
 #[test]
-fn observed_campaign_with_server_is_byte_identical_to_unobserved() {
+fn observed_campaign_is_byte_identical_to_unobserved() {
     // Unobserved reference.
     let reference_path = tmp("plain.jsonl");
     let _ = std::fs::remove_file(&reference_path);
@@ -101,12 +90,11 @@ fn observed_campaign_with_server_is_byte_identical_to_unobserved() {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&flight);
 
-        let observer = Arc::new(CampaignObserver::new(
+        let observer = CampaignObserver::new(
             TONES.len(),
             threads,
             ObservatoryConfig::for_results_file(&path),
-        ));
-        let server = StatusServer::start(Arc::clone(&observer), "127.0.0.1:0").expect("server");
+        );
         let quarantined = run_campaign(&path, &TONES, threads, Some(&observer), true);
         observer.finish().expect("flight dump");
 
@@ -115,20 +103,19 @@ fn observed_campaign_with_server_is_byte_identical_to_unobserved() {
         assert_eq!(
             std::fs::read(&path).expect("observed bytes"),
             reference,
-            "threads {threads}: observer + server changed the results file"
+            "threads {threads}: the observer changed the results file"
         );
 
-        // The server answers from the completed board.
-        let progress = http_get(server.addr(), "/progress").expect("poll");
-        assert_eq!(json_u64_field(&progress, "total"), Some(TONES.len() as u64));
-        assert_eq!(json_u64_field(&progress, "done"), Some(TONES.len() as u64));
-        assert_eq!(json_u64_field(&progress, "quarantined"), Some(1));
-        let incidents = http_get(server.addr(), "/incidents").expect("poll incidents");
+        // The completed board accounts for every point and incident.
+        let snap = observer.snapshot();
+        assert_eq!(snap.total, TONES.len() as u64);
+        assert_eq!(snap.done, TONES.len() as u64);
+        assert_eq!(snap.quarantined, 1);
+        let incidents = snap.incidents_json();
         assert!(
             json_u64_field(&incidents, "degenerate_fit").unwrap_or(0) >= 1,
             "threads {threads}: {incidents}"
         );
-        server.shutdown();
 
         // The finish dump is a parseable timeline ending in a clean
         // finish note, with claim/done coverage for every point.
@@ -225,49 +212,119 @@ fn killed_observed_campaign_dumps_flight_and_resumes_byte_identically() {
     std::fs::remove_file(&reference_path).unwrap();
 }
 
+/// A retry-heavy service job over the test tones, scaled down 20× so
+/// the service's two-period stimulus keeps the job running long enough
+/// for a poller to catch it live: `(submission body, job id)`.
+fn live_job() -> (String, String) {
+    let plan = CampaignPlan::new(PllConfig::paper_table3())
+        .lock_settle(0.1)
+        .supervised(SupervisorPolicy::default())
+        .scheduler(Scheduler::WorkStealing { threads: 2 });
+    let tones: Vec<f64> = TONES.iter().map(|f| f / 20.0).collect();
+    let faults = FaultPlan {
+        flaky_retry: vec![0, 3],
+        ..FaultPlan::none()
+    };
+    (
+        submission_body(&plan, &tones, "obs-live", &faults),
+        plan.digest(&tones, "obs-live"),
+    )
+}
+
+fn tmp_root(name: &str) -> PathBuf {
+    let root = tmp(&format!("service_{}_{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
+fn results_file(root: &Path, job: &str) -> Vec<u8> {
+    std::fs::read(root.join(format!("job-{job}/campaign.jsonl"))).expect("job results file")
+}
+
+/// The journal state a 404 from a live view names.
+fn not_running_state(result: Result<String, HttpError>) -> String {
+    match result {
+        Err(HttpError::Status { code: 404, body }) => {
+            assert!(body.contains("\"error\":\"job not running\""), "{body}");
+            json_str_field(&body, "state").expect("the 404 names the job state")
+        }
+        other => panic!("expected a 404 from a view, got {other:?}"),
+    }
+}
+
+/// The campaign service is the status server: its per-job views report
+/// a live campaign's progress.
 #[test]
 fn status_server_reports_monotone_progress_over_a_live_campaign() {
-    let path = tmp("live.jsonl");
-    let _ = std::fs::remove_file(&path);
-    let observer = Arc::new(CampaignObserver::new(
-        TONES.len(),
-        2,
-        ObservatoryConfig::default(),
-    ));
-    let server = StatusServer::start(Arc::clone(&observer), "127.0.0.1:0").expect("server");
-    let addr = server.addr();
+    let (body, job) = live_job();
+    let view = |name: &str| format!("/jobs/{job}/{name}");
+    let polled_root = tmp_root("polled");
+    let service = CampaignService::start(ServiceConfig::rooted(&polled_root)).expect("start");
+    let addr = service.addr();
+    http_post(addr, "/jobs", &body).expect("submit");
 
-    let campaign_path = path.clone();
-    let campaign_observer = Arc::clone(&observer);
-    let campaign = std::thread::spawn(move || {
-        run_campaign(&campaign_path, &TONES, 2, Some(&campaign_observer), true)
-    });
-
-    // Poll while the campaign runs: completion counts must never move
-    // backwards, and every response must parse.
-    let mut last_done = 0u64;
+    // Poll while the job runs: completion counts must never move
+    // backwards, and every view must parse. Between two views the job
+    // may finish, so a 404 there is an answer, not a failure.
+    let (mut live_polls, mut worker_polls, mut last_done) = (0u32, 0u32, 0u64);
     loop {
-        let body = http_get(addr, "/progress").expect("poll");
-        let done = json_u64_field(&body, "done").expect("done field");
-        assert!(
-            done >= last_done,
-            "done went backwards: {last_done} -> {done}"
-        );
-        last_done = done;
-        if done >= TONES.len() as u64 {
-            break;
+        match http_get(addr, &view("progress")) {
+            Ok(progress) => {
+                let done = json_u64_field(&progress, "done").expect("done field");
+                assert!(
+                    done >= last_done,
+                    "done went backwards: {last_done} -> {done}"
+                );
+                last_done = done;
+                live_polls += 1;
+                assert_eq!(json_u64_field(&progress, "total"), Some(TONES.len() as u64));
+                assert!(progress.contains("\"stall_timeout_secs\""), "{progress}");
+                assert!(progress.contains("\"heartbeat_age_secs\""), "{progress}");
+                // Query strings are tolerated.
+                if let Ok(workers) = http_get(addr, &format!("{}?pretty=1", view("workers"))) {
+                    assert_eq!(json_str_field(&workers, "type").as_deref(), Some("workers"));
+                    assert_eq!(
+                        workers.matches("\"index\":").count(),
+                        2,
+                        "one entry per worker: {workers}"
+                    );
+                    worker_polls += 1;
+                }
+                if let Ok(incidents) = http_get(addr, &view("incidents")) {
+                    assert_eq!(
+                        json_str_field(&incidents, "type").as_deref(),
+                        Some("incidents")
+                    );
+                    assert!(incidents.contains("\"lock_timeout\":0"), "{incidents}");
+                }
+            }
+            other => match not_running_state(other).as_str() {
+                "done" => break,
+                "failed" => panic!("the live job failed"),
+                _ => {} // queued, or running before its observer attaches
+            },
         }
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(campaign.join().expect("campaign thread"), 1);
-    observer.finish().expect("finish");
+    assert!(live_polls >= 1, "no poll caught the job running");
+    assert!(worker_polls >= 1, "no /workers poll caught the job running");
 
-    let workers = http_get(addr, "/workers").expect("workers");
+    // Once the job is done its views answer 404 with the journal state.
+    for name in ["progress", "workers", "incidents"] {
+        assert_eq!(not_running_state(http_get(addr, &view(name))), "done");
+    }
+    service.shutdown();
+
+    // The same job, never polled, writes the same bytes.
+    let unpolled_root = tmp_root("unpolled");
+    let service = CampaignService::start(ServiceConfig::rooted(&unpolled_root)).expect("start");
+    http_post(service.addr(), "/jobs", &body).expect("submit");
+    service.shutdown(); // drains: the queued job runs to completion
     assert_eq!(
-        workers.matches("\"index\":").count(),
-        2,
-        "one entry per worker: {workers}"
+        results_file(&polled_root, &job),
+        results_file(&unpolled_root, &job),
+        "polling the live views changed the job's results file"
     );
-    server.shutdown();
-    std::fs::remove_file(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&polled_root);
+    let _ = std::fs::remove_dir_all(&unpolled_root);
 }

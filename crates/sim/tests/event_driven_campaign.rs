@@ -8,13 +8,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pllbist_sim::bench_measure::{measure_sweep_points, run_sweep, BenchSettings};
-use pllbist_sim::campaign::{bits_hex, f64_from_bits_hex, json_str_field, CampaignLog, PointCodec};
+use pllbist_sim::campaign::CampaignLog;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::event_driven::EventDrivenCpPll;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::scenario::Scenario;
-use pllbist_sim::{CampaignPlan, PllEngine, Scheduler, SupervisorPolicy, SweepPointError};
-use pllbist_telemetry::{Collector, Fields, TelemetryConfig, Value};
+use pllbist_sim::{
+    CampaignPlan, PllEngine, Scheduler, SupervisorPolicy, SweepPointError, VoltsCodec,
+};
+use pllbist_telemetry::{Collector, TelemetryConfig};
 
 fn quick_settings() -> BenchSettings {
     BenchSettings {
@@ -129,21 +131,6 @@ fn killed_event_campaign_resumes_byte_identically_at_every_thread_count() {
     std::fs::remove_file(&path).expect("cleanup");
 }
 
-/// Campaign codec over a plain `f64` point (control voltage).
-struct VoltageCodec;
-
-impl PointCodec for VoltageCodec {
-    type Point = f64;
-
-    fn encode(&self, point: &f64) -> Fields {
-        vec![("v_bits".to_string(), Value::Str(bits_hex(*point)))]
-    }
-
-    fn decode(&self, line: &str) -> Option<f64> {
-        f64_from_bits_hex(&json_str_field(line, "v_bits")?)
-    }
-}
-
 const TONES: [f64; 6] = [1.0, 3.0, 7.0, 9.0, 21.0, 55.0];
 const SICK_TONE: f64 = 9.0;
 
@@ -166,9 +153,9 @@ fn run_observed(path: &PathBuf, threads: usize, observer: Option<&CampaignObserv
     let scenario = Scenario::with_lock_settle(&cfg, 0.1);
     let policy = SupervisorPolicy::default();
     let tel = Collector::disabled();
-    let log = CampaignLog::open(path, VoltageCodec, "evobs00000000001".into(), TONES.len())
+    let log = CampaignLog::open(path, VoltsCodec, "evobs00000000001".into(), TONES.len())
         .expect("open log");
-    let swept = scenario.run_points::<EventDrivenCpPll, VoltageCodec, _>(
+    let swept = scenario.run_points::<EventDrivenCpPll, VoltsCodec, _>(
         &TONES,
         threads,
         true,

@@ -5,13 +5,14 @@
 //! results file — including quarantined points — across thread counts.
 
 use pllbist_sim::bench_measure::{run_sweep, BenchSettings};
-use pllbist_sim::campaign::{bits_hex, f64_from_bits_hex, json_str_field, CampaignLog, PointCodec};
+use pllbist_sim::campaign::CampaignLog;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::scenario::Scenario;
 use pllbist_sim::{
     CampaignPlan, ClosedFormPll, PllEngine, Scheduler, SupervisorPolicy, SweepPointError,
+    VoltsCodec,
 };
-use pllbist_telemetry::{Collector, Fields, TelemetryConfig, Value};
+use pllbist_telemetry::{Collector, TelemetryConfig};
 use std::path::PathBuf;
 
 fn quick_settings() -> BenchSettings {
@@ -182,21 +183,6 @@ fn killed_bench_campaign_resumes_byte_identically_at_every_thread_count() {
     std::fs::remove_file(&path).expect("cleanup");
 }
 
-/// Campaign codec over a plain `f64` point (control voltage).
-struct VoltageCodec;
-
-impl PointCodec for VoltageCodec {
-    type Point = f64;
-
-    fn encode(&self, point: &f64) -> Fields {
-        vec![("v_bits".to_string(), Value::Str(bits_hex(*point)))]
-    }
-
-    fn decode(&self, line: &str) -> Option<f64> {
-        f64_from_bits_hex(&json_str_field(line, "v_bits")?)
-    }
-}
-
 #[test]
 fn resumed_campaign_with_quarantined_points_stays_byte_identical() {
     // Quarantined outcomes are part of the results file; a resume must
@@ -220,9 +206,9 @@ fn resumed_campaign_with_quarantined_points_stays_byte_identical() {
     };
     let run = |threads: usize| {
         let log =
-            CampaignLog::open(&path, VoltageCodec, digest.clone(), tones.len()).expect("open log");
+            CampaignLog::open(&path, VoltsCodec, digest.clone(), tones.len()).expect("open log");
         let tel = Collector::disabled();
-        let swept = scenario.run_points::<ClosedFormPll, VoltageCodec, _>(
+        let swept = scenario.run_points::<ClosedFormPll, VoltsCodec, _>(
             &tones,
             threads,
             true,

@@ -2,7 +2,8 @@
 //!
 //! A [`ProgressBoard`] is shared (by reference or `Arc`) between the
 //! work-stealing workers of a campaign and any number of observers (the
-//! status server, the `--progress` terminal line, stall watchdogs).
+//! campaign service's per-job views, the `--progress` terminal line,
+//! stall watchdogs).
 //! Every mutation is a relaxed atomic increment, so the board is safe to
 //! update from inside point closures without serialising workers, and a
 //! [`CampaignProgress`] snapshot can be taken at any moment without

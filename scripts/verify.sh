@@ -79,6 +79,24 @@ if grep -rnE 'catch_unwind|pllbist_sim::parallel::' crates/core/src; then
   exit 1
 fi
 
+# The crate has one HTTP surface: the campaign service's router, with
+# one accept loop, whose per-job views serve the running job's live
+# observer. This gate keeps it that way: a second accept loop or a
+# revived StatusServer means a read-out grew its own server instead of
+# a route in service.rs.
+echo "==> one-HTTP-surface gate (one accept loop under crates/sim/src; no StatusServer)"
+n=$({ grep -rn '\.incoming()' crates/sim/src || true; } | wc -l)
+if [ "$n" -gt 1 ]; then
+  echo "one-HTTP-surface gate: .incoming() appears ${n} times under crates/sim/src —"
+  echo "serve it as a route in service.rs instead of a second listener"
+  exit 1
+fi
+if grep -rnI --exclude-dir=target 'StatusServer' crates src tests examples; then
+  echo "one-HTTP-surface gate: StatusServer is back — serve the observer through"
+  echo "the campaign service's /jobs/<id>/{progress,workers,incidents} views"
+  exit 1
+fi
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 
@@ -121,11 +139,13 @@ PLLBIST_ABL12_POINTS=8 PLLBIST_ABL12_REPS=1 cargo run --release --offline -p pll
 head -1 "$abl12_out" | grep -q '"type":"run"' \
   || { echo "abl12 smoke: missing JSONL run header"; exit 1; }
 
-echo "==> abl13 campaign-observatory smoke (offline, status server + flight recorder)"
-# The bin itself serves /progress over 127.0.0.1 from the campaign's
-# own status server, polls it with the workspace std::net client and
-# asserts monotone completion counts, byte-identity under observation
-# at 1/4/16 threads, and parseable flight dumps on abort/stall.
+echo "==> abl13 campaign-observatory smoke (offline, service live views + flight recorder)"
+# The bin itself asserts byte-identity under observation at 1/4/16
+# threads, runs a retry-heavy job on the campaign service over
+# 127.0.0.1 twice — polling /jobs/<id>/progress, /workers and
+# /incidents with the workspace std::net client on one run only — and
+# asserts monotone completion counts and byte-identical polled and
+# unpolled results files, plus parseable flight dumps on abort/stall.
 abl13_out="target/abl13-smoke.jsonl"
 PLLBIST_ABL13_POINTS=8 cargo run --release --offline -p pllbist-bench \
   --bin abl13_campaign_observatory -- --jsonl "$abl13_out"
