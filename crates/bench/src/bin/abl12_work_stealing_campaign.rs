@@ -27,7 +27,7 @@ use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::campaign::{config_digest, CampaignLog};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::parallel::available_parallelism;
-use pllbist_sim::scenario::{Scenario, SupervisedPoints};
+use pllbist_sim::scenario::{PlanOutcome, Scenario};
 use pllbist_sim::supervisor::Supervised;
 use pllbist_sim::{PllEngine, SupervisorPolicy, SweepPointError, VoltsCodec};
 use pllbist_telemetry::{fields, Collector, ProgressBoard, RunReport};
@@ -77,7 +77,7 @@ fn capture(
 
 /// Asserts two supervised sweeps produced identical outcomes: healthy
 /// values bit-for-bit, quarantined errors variant-for-variant.
-fn assert_same_outcomes(a: &SupervisedPoints<f64>, b: &SupervisedPoints<f64>, label: &str) {
+fn assert_same_outcomes(a: &PlanOutcome<f64>, b: &PlanOutcome<f64>, label: &str) {
     assert_eq!(a.points.len(), b.points.len(), "{label}: point count");
     for (i, (x, y)) in a.points.iter().zip(&b.points).enumerate() {
         match (x, y) {

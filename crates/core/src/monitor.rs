@@ -26,9 +26,9 @@ use crate::sequencer::{TestSequencer, Transition};
 use pllbist_numeric::bode::{BodePlot, BodePoint};
 use pllbist_sim::campaign::NullCodec;
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::error::SweepPointError;
+use pllbist_sim::error::{CampaignError, SweepPointError};
 use pllbist_sim::plan::CampaignPlan;
-use pllbist_sim::scenario::Scenario;
+use pllbist_sim::scenario::{PlanRun, Scenario};
 use pllbist_sim::stimulus::FmStimulus;
 use pllbist_sim::supervisor::{supervised_point, Incident};
 use pllbist_sim::PllEngine;
@@ -450,11 +450,12 @@ impl TransferFunctionMonitor {
     }
 
     /// **The** monitor entry point: runs the full Table 2 sweep as
-    /// described by `plan`, on the workspace's one campaign runner. The
-    /// nominal reading is one [`supervised_point`]; the tones are one
-    /// [`Scenario::run_points`] call whose capture runs the Table 2
-    /// sequence on a single tone. Both start from a loop settled for
-    /// [`MonitorSettings::resolved_loop_settle`] (at least 0.1 s).
+    /// described by `plan` on the one plan entry ([`PlanRun`]). The
+    /// nominal reading is one [`supervised_point`] on the run's
+    /// collector; the run's capture is the Table 2 sequence on one tone.
+    /// Both start from a loop settled for
+    /// [`MonitorSettings::resolved_loop_settle`] (at least 0.1 s), which
+    /// overrides the plan's `lock_settle`.
     ///
     /// Per plan option:
     ///
@@ -464,50 +465,60 @@ impl TransferFunctionMonitor {
     ///   quarantines wholesale (incidents tagged
     ///   [`DEVICE_INCIDENT_F_MOD`]). `None`: one contained attempt per
     ///   tone on an unguarded engine — no retries, no `supervisor.*`
-    ///   telemetry, but a panicking tone still quarantines in place
-    ///   instead of unwinding the sweep.
+    ///   telemetry, but a panicking tone still quarantines in place.
     /// * **scheduler** — identical bits at every thread count: each tone
-    ///   is measured on its own settled loop, so a serial plan runs the
-    ///   same per-tone schedule as a work-stealing one. The one-engine
-    ///   continuous walk is [`measure_device`](Self::measure_device).
-    /// * **checkpoint** — settle once and hand every tone a restored
-    ///   snapshot ([`PllEngine::restore`] is bit-exact) instead of
-    ///   re-locking per tone.
-    /// * **observed** — the plan's observer sees one claim and one
-    ///   outcome per tone (the nominal reading is not a tone).
-    ///
-    /// `resume_from`/`sidecar` are ignored: resuming needs a campaign-file
-    /// codec for a tone outcome (point plus transcript), and a run that
-    /// reads a results file can fail with a `CampaignError` that this
-    /// return type cannot carry. `lock_settle` is owned by
-    /// [`MonitorSettings::loop_settle_secs`] here.
+    ///   is measured on its own settled loop. The one-engine continuous
+    ///   walk is [`measure_device`](Self::measure_device).
+    /// * **checkpoint** — settle once and restore per tone
+    ///   ([`PllEngine::restore`] is bit-exact) instead of re-locking.
+    /// * **observed** — one claim and one outcome per tone (the nominal
+    ///   reading is not a tone).
+    /// * **resume_from / sidecar** — ignored ([`PlanRun::in_memory`]): no
+    ///   file is opened or created until a tone outcome has a codec.
     ///
     /// On a healthy device the surviving points and the transcript are
     /// bitwise identical across every supervision/checkpoint/observer/
-    /// telemetry/thread-count combination: guardrails are read-only and
-    /// the supervised run drives the engine through exactly the same call
-    /// sequence. Retries are a pure function of `(config, tone, policy)`
-    /// — a retried tone re-locks a fresh engine with the policy's scaled
-    /// micro-step and extended settle, so failing campaigns replay
-    /// incident for incident.
+    /// telemetry/thread-count combination. Retries are a pure function of
+    /// `(config, tone, policy)`, so failing campaigns replay incident for
+    /// incident.
+    ///
+    /// # Panics
+    ///
+    /// Where [`try_measure`](Self::try_measure) errs (out-of-class plan).
     pub fn measure<E: PllEngine>(&self, plan: &CampaignPlan<E>) -> SupervisedMonitorResult {
+        self.try_measure(plan)
+            .unwrap_or_else(|e| panic!("monitor plan rejected: {e}"))
+    }
+
+    /// [`measure`](Self::measure) with the plan's rejection typed.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::OutOfClass`], before anything is settled.
+    pub fn try_measure<E: PllEngine>(
+        &self,
+        plan: &CampaignPlan<E>,
+    ) -> Result<SupervisedMonitorResult, CampaignError> {
         let s = &self.settings;
-        let config = plan.config();
-        let policy = plan.supervision();
-        let tel = Collector::from_config(plan.telemetry_config());
+        let plan = plan
+            .clone()
+            .lock_settle(s.resolved_loop_settle(plan.config()).max(0.1));
+        let run = PlanRun::<E, NullCodec<(MonitorPoint, Vec<Transition>)>>::in_memory(
+            &plan,
+            &s.mod_frequencies_hz,
+        )?;
         let fc = FrequencyCounter::new(s.test_clock_hz, s.gate_cycles);
-        let scenario = Scenario::with_lock_settle(config, s.resolved_loop_settle(config).max(0.1));
 
         // Device qualification: the nominal reading, held for a clean
         // gate. A device that cannot produce one quarantines wholesale.
         let nominal = {
-            let _nominal = span!(tel, "monitor.nominal");
+            let _nominal = span!(run.telemetry(), "monitor.nominal");
             supervised_point::<E, _, _>(
-                &scenario,
+                &plan.scenario(),
                 None,
-                policy,
+                plan.supervision(),
                 DEVICE_INCIDENT_F_MOD,
-                &tel,
+                run.telemetry(),
                 |pll| {
                     pll.set_hold(true);
                     let reading = fc.measure(pll, s.count_divided_output);
@@ -520,65 +531,54 @@ impl TransferFunctionMonitor {
         let nominal = match nominal.result {
             Ok(nominal) => nominal,
             Err(error) => {
-                return SupervisedMonitorResult {
+                return Ok(SupervisedMonitorResult {
                     nominal: Err(error.clone()),
                     points: vec![Err(error); s.mod_frequencies_hz.len()],
                     transcript: Vec::new(),
                     capture: s.capture,
                     incidents,
-                    telemetry: tel.drain(),
-                };
+                    telemetry: run.telemetry().drain(),
+                });
             }
         };
 
-        let swept = scenario.run_points::<E, NullCodec<(MonitorPoint, Vec<Transition>)>, _>(
-            &s.mod_frequencies_hz,
-            plan.schedule().threads(),
-            plan.checkpoint_enabled(),
-            policy,
-            &tel,
-            None,
-            None,
-            plan.observer(),
-            |pll, f_mod| {
-                let (points, transcript) = self.sweep_chunk(pll, &[f_mod], &nominal, &tel);
-                points
-                    .into_iter()
-                    .next()
-                    .map(|point| (point, transcript))
-                    .ok_or(SweepPointError::DegenerateFit { f_mod_hz: f_mod })
-            },
-        );
+        let swept = run.run(|pll, tone_index, f_mod, tel| {
+            let (mut points, mut transcript) = self.sweep_chunk(pll, &[f_mod], &nominal, tel);
+            transcript
+                .iter_mut()
+                .for_each(|t| t.tone_index = tone_index);
+            let point = points.pop();
+            point
+                .map(|point| (point, transcript))
+                .ok_or(SweepPointError::DegenerateFit { f_mod_hz: f_mod })
+        })?;
         incidents.extend(swept.incidents);
         let mut transcript = Vec::new();
         let points = swept
             .points
             .into_iter()
-            .enumerate()
-            .map(|(tone_index, outcome)| {
+            .map(|outcome| {
                 outcome.map(|(point, tone)| {
-                    transcript.extend(tone.into_iter().map(|transition| Transition {
-                        tone_index,
-                        ..transition
-                    }));
+                    transcript.extend(tone);
                     point
                 })
             })
             .collect();
-        if tel.is_enabled() {
-            tel.gauge(
-                "monitor.transcript_bytes",
-                (transcript.len() * std::mem::size_of::<Transition>()) as f64,
-            );
+        let mut telemetry = swept.telemetry;
+        if plan.telemetry_config().enabled {
+            telemetry.push(Record::Gauge {
+                name: "monitor.transcript_bytes".to_string(),
+                value: (transcript.len() * std::mem::size_of::<Transition>()) as f64,
+            });
         }
-        SupervisedMonitorResult {
+        Ok(SupervisedMonitorResult {
             nominal: Ok(nominal),
             points,
             transcript,
             capture: s.capture,
             incidents,
-            telemetry: tel.drain(),
-        }
+            telemetry,
+        })
     }
 
     /// Walks one contiguous run of modulation frequencies on `pll`,
@@ -1115,5 +1115,43 @@ mod tests {
             assert_eq!(x.attempt, y.attempt);
             assert_eq!(x.error.kind(), y.error.kind());
         }
+    }
+
+    #[test]
+    fn resume_and_sidecar_are_ignored_and_create_no_file() {
+        let cfg = PllConfig::paper_table3();
+        let monitor = TransferFunctionMonitor::new(tiny_settings());
+        let dir = std::env::temp_dir().join("pllbist_monitor_resume");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("ckpt"));
+        let plain = monitor.measure(&plan_at(&cfg, 2));
+        let resumed = monitor.measure(&plan_at(&cfg, 2).resume_from(&path).sidecar(true));
+        // Debug renders every f64 round-trip exactly: equal text, equal bits.
+        let bits = |r: &SupervisedMonitorResult| {
+            format!("{:?} {:?} {:?}", r.nominal, r.points, r.transcript)
+        };
+        assert_eq!(bits(&plain), bits(&resumed));
+        assert!(!path.exists(), "the monitor must not open a results file");
+        assert!(!path.with_extension("ckpt").exists(), "nor a sidecar");
+    }
+
+    #[test]
+    fn out_of_class_plan_is_a_typed_rejection() {
+        let mut cfg = PllConfig::paper_table3();
+        cfg.vco_range_hz = Some((4_000.0, 6_000.0));
+        let monitor = TransferFunctionMonitor::new(tiny_settings());
+        let plan = serial_plan(&cfg).engine::<pllbist_sim::EventDrivenCpPll>();
+        let err = monitor.try_measure(&plan).expect_err("out of class");
+        assert!(
+            matches!(
+                err,
+                CampaignError::OutOfClass(pllbist_sim::OutOfClass::VcoRange)
+            ),
+            "{err}"
+        );
+        // The same device is in class for the behavioural engine.
+        assert!(monitor.try_measure(&serial_plan(&cfg)).is_ok());
     }
 }

@@ -8,29 +8,23 @@
 //! not have — which is why it serves as the accuracy baseline the on-chip
 //! monitor is compared against (ablation abl06).
 //!
-//! The sweep executes a [`CampaignPlan`] on the single
-//! [`crate::scenario::run_plan`] runner: the loop locks and settles once
-//! per configuration (checkpointed by default), then each modulation
-//! point restores the snapshot, programs its tone, waits out the
-//! modulation transient and captures. Engine choice, supervision,
-//! scheduling, campaign-file resume and observation are all plan options
-//! — this module only contributes the capture physics
+//! The sweep executes a [`CampaignPlan`] on the one plan entry,
+//! [`run_plan`]: engine, checkpointing, supervision, scheduling, resume
+//! and observation are plan options, and the result is the one
+//! [`PlanOutcome`]. This module contributes only the capture physics
 //! ([`BenchSettings`]) and the [`BenchPointCodec`] that makes campaign
 //! files round-trip measurements bit-for-bit.
-//!
-//! [`crate::scenario::run_plan`]: crate::scenario::run_plan
 
 use crate::campaign::{bits_hex, f64_from_bits_hex, json_str_field, PointCodec};
 use crate::config::PllConfig;
 use crate::engine::{AnalogAccess, PllEngine, WorkStats};
 use crate::error::{CampaignError, SweepPointError};
 use crate::plan::CampaignPlan;
-use crate::scenario::{run_plan, Scenario};
+use crate::scenario::{run_plan, PlanOutcome, Scenario};
 use crate::stimulus::FmStimulus;
-use crate::supervisor::Incident;
 use pllbist_numeric::bode::{BodePlot, BodePoint};
 use pllbist_numeric::fit::sine_fit;
-use pllbist_telemetry::{span, Record};
+use pllbist_telemetry::span;
 use pllbist_telemetry::{Fields, Value};
 use std::f64::consts::{FRAC_PI_2, TAU};
 
@@ -208,31 +202,7 @@ fn capture_point<E: AnalogAccess>(
     ))
 }
 
-/// A completed bench sweep: per-point outcomes (quarantined points stay
-/// in place as typed errors), the incident log, and the drained
-/// telemetry (empty when the plan's telemetry is off).
-#[derive(Clone, Debug)]
-pub struct SupervisedSweepRun {
-    /// One outcome per requested frequency, in input order.
-    pub points: Vec<Result<BenchPoint, SweepPointError>>,
-    /// Every retry/quarantine incident the supervisor logged.
-    pub incidents: Vec<Incident>,
-    /// Drained telemetry (includes `supervisor.*` records when the plan
-    /// is supervised).
-    pub telemetry: Vec<Record>,
-}
-
-impl SupervisedSweepRun {
-    /// The surviving (non-quarantined) points, in sweep order.
-    pub fn ok_points(&self) -> Vec<BenchPoint> {
-        self.points.iter().filter_map(|p| p.clone().ok()).collect()
-    }
-
-    /// Number of quarantined points.
-    pub fn quarantined_count(&self) -> usize {
-        self.points.iter().filter(|p| p.is_err()).count()
-    }
-
+impl PlanOutcome<BenchPoint> {
     /// Bode plot over the surviving points (phases unwrapped).
     ///
     /// # Errors
@@ -247,17 +217,22 @@ impl SupervisedSweepRun {
         if ok.is_empty() {
             return Err(SweepPointError::DegenerateFit { f_mod_hz: 0.0 });
         }
-        let mut plot: BodePlot = ok
-            .into_iter()
-            .map(|p| BodePoint {
-                omega: TAU * p.f_mod_hz,
-                magnitude: p.gain,
-                phase: p.phase,
-            })
-            .collect();
-        plot.unwrap_phase();
-        Ok(plot)
+        Ok(bode_of(ok))
     }
+}
+
+/// The Bode plot of `points`, phases unwrapped across the sweep.
+fn bode_of(points: Vec<BenchPoint>) -> BodePlot {
+    let mut plot: BodePlot = points
+        .into_iter()
+        .map(|p| BodePoint {
+            omega: TAU * p.f_mod_hz,
+            magnitude: p.gain,
+            phase: p.phase,
+        })
+        .collect();
+    plot.unwrap_phase();
+    plot
 }
 
 /// The bench workload's digest salt: the capture physics that determine
@@ -288,36 +263,27 @@ pub fn campaign_digest<E: PllEngine>(
     plan.digest(f_mod_hz, &bench_salt(settings))
 }
 
-/// **The** bench sweep: executes `plan` over the modulation grid with the
-/// capture physics in `settings`, composing every plan option — engine,
-/// checkpointing, supervision, scheduling, campaign-file resume,
-/// observation, telemetry — on the single [`run_plan`] pipeline.
-///
-/// On a healthy device the measured points are bitwise identical for
-/// every thread count, checkpoint setting, telemetry state and
-/// supervision policy; options change wall-clock time and fault
-/// containment, never results. With supervision, a sick point
-/// quarantines in place (typed error in `points`) instead of aborting
-/// the sweep; without it, each point still gets exactly one contained
-/// attempt.
+/// **The** bench sweep: `plan` over the modulation grid with the capture
+/// physics in `settings`, on [`run_plan`]. On a healthy device the points
+/// are bitwise identical under every plan option; with supervision a sick
+/// point quarantines in place, without it each point still gets one
+/// contained attempt.
 ///
 /// # Errors
 ///
-/// [`CampaignError`] when the plan's results file belongs to a different
-/// campaign ([`CampaignError::HeaderMismatch`]), is corrupted before its
-/// final line, or the filesystem fails. Plans without
-/// [`CampaignPlan::resume_from`] cannot fail this way.
+/// Those of [`run_plan`]: an out-of-class plan, or a results file that
+/// belongs to another campaign, is corrupted or fails on the filesystem.
 pub fn run_sweep<E: AnalogAccess>(
     plan: &CampaignPlan<E>,
     f_mod_hz: &[f64],
     settings: &BenchSettings,
-) -> Result<SupervisedSweepRun, CampaignError> {
-    let outcome = run_plan(
+) -> Result<PlanOutcome<BenchPoint>, CampaignError> {
+    run_plan(
         plan,
         f_mod_hz,
         BenchPointCodec,
         &bench_salt(settings),
-        |pll, fm, tel| {
+        |pll, _, fm, tel| {
             let _point = span!(tel, "bench.point", f_mod_hz = fm);
             let (point, stats) = capture_point(pll, fm, settings)?;
             if tel.is_enabled() {
@@ -328,12 +294,7 @@ pub fn run_sweep<E: AnalogAccess>(
             }
             Ok(point)
         },
-    )?;
-    Ok(SupervisedSweepRun {
-        points: outcome.points,
-        incidents: outcome.incidents,
-        telemetry: outcome.telemetry,
-    })
+    )
 }
 
 /// Fail-fast sweep: [`run_sweep`] unwrapped to plain [`BenchPoint`]s in
@@ -350,17 +311,11 @@ pub fn measure_sweep_points<E: AnalogAccess>(
     f_mod_hz: &[f64],
     settings: &BenchSettings,
 ) -> Vec<BenchPoint> {
-    let run = match run_sweep(plan, f_mod_hz, settings) {
-        Ok(run) => run,
-        Err(e) => panic!("bench campaign failed: {e}"),
-    };
-    run.points
-        .into_iter()
-        .zip(f_mod_hz)
-        .map(|(p, fm)| match p {
-            Ok(point) => point,
-            Err(e) => panic!("bench point at {fm} Hz failed: {e}"),
-        })
+    let run = run_sweep(plan, f_mod_hz, settings)
+        .unwrap_or_else(|e| panic!("bench campaign failed: {e}"));
+    let points = run.points.into_iter().zip(f_mod_hz);
+    points
+        .map(|(p, fm)| p.unwrap_or_else(|e| panic!("bench point at {fm} Hz failed: {e}")))
         .collect()
 }
 
@@ -375,16 +330,7 @@ pub fn measure_sweep<E: AnalogAccess>(
     f_mod_hz: &[f64],
     settings: &BenchSettings,
 ) -> BodePlot {
-    let mut plot: BodePlot = measure_sweep_points(plan, f_mod_hz, settings)
-        .into_iter()
-        .map(|p| BodePoint {
-            omega: TAU * p.f_mod_hz,
-            magnitude: p.gain,
-            phase: p.phase,
-        })
-        .collect();
-    plot.unwrap_phase();
-    plot
+    bode_of(measure_sweep_points(plan, f_mod_hz, settings))
 }
 
 /// The [`PointCodec`] for bench sweep results: every `f64` of a
@@ -437,7 +383,7 @@ mod tests {
     use crate::event_driven::EventDrivenCpPll;
     use crate::plan::Scheduler;
     use crate::supervisor::SupervisorPolicy;
-    use pllbist_telemetry::TelemetryConfig;
+    use pllbist_telemetry::{Record, TelemetryConfig};
 
     fn quick() -> BenchSettings {
         BenchSettings {

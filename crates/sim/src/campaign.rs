@@ -245,11 +245,9 @@ pub trait PointCodec: Sync {
 }
 
 /// The codec for plans that never touch a results file: encodes
-/// nothing, decodes nothing. [`crate::scenario::run_points`] is generic
-/// over a [`PointCodec`] even when no [`CampaignLog`] is attached, so
-/// in-memory sweeps pass `NullCodec<P>` to name their point type.
-///
-/// [`crate::scenario::run_points`]: crate::scenario::Scenario::run_points
+/// nothing, decodes nothing. The runner is generic over a [`PointCodec`]
+/// even when no [`CampaignLog`] is attached, so in-memory runs pass
+/// `NullCodec<P>` to name their point type.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullCodec<P>(std::marker::PhantomData<fn() -> P>);
 

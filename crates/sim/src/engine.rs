@@ -195,6 +195,19 @@ pub trait PllEngine {
     where
         Self: Sized;
 
+    /// Why this backend cannot run `config`, read off the configuration
+    /// alone; the plan entry asks before any settle. In class by default.
+    ///
+    /// # Errors
+    ///
+    /// The [`OutOfClass`](crate::event_driven::OutOfClass) reason.
+    fn check_class(_config: &PllConfig) -> Result<(), crate::event_driven::OutOfClass>
+    where
+        Self: Sized,
+    {
+        Ok(())
+    }
+
     /// Serialises a checkpoint as a compact single-line token (floats
     /// as bit hex; no quotes, braces or backslashes) for the on-disk
     /// lock-state sidecar, or `None` when this backend's state cannot

@@ -11,6 +11,7 @@
 //! [`crate::parallel::par_try_map_points_worker`].
 
 use crate::config::FaultWiringError;
+use crate::event_driven::OutOfClass;
 
 /// Why one sweep point failed.
 ///
@@ -211,15 +212,18 @@ impl From<FaultWiringError> for SweepPointError {
     }
 }
 
-/// Why a resumable campaign results file could not be used.
+/// Why a campaign could not run: its engine cannot represent the
+/// configuration, or its resumable results file could not be used.
 ///
-/// Produced by [`crate::campaign::CampaignLog`]: a resume must *refuse*
-/// a file it cannot prove belongs to this exact run (config digest +
-/// grid size) rather than silently merging foreign points into the
-/// output — the whole value of the results file is that a resumed run
-/// is byte-identical to an uninterrupted one.
+/// The results-file variants come from [`crate::campaign::CampaignLog`]:
+/// a resume must *refuse* a file it cannot prove belongs to this exact
+/// run (config digest + grid size) rather than silently merging foreign
+/// points into the output — the whole value of the results file is that
+/// a resumed run is byte-identical to an uninterrupted one.
 #[derive(Debug)]
 pub enum CampaignError {
+    /// [`crate::engine::PllEngine::check_class`] refused the plan.
+    OutOfClass(OutOfClass),
     /// Filesystem failure on the results file.
     Io(std::io::Error),
     /// The file's campaign header does not match this run (different
@@ -245,6 +249,7 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CampaignError::OutOfClass(e) => write!(f, "plan out of the engine's class: {e}"),
             CampaignError::Io(e) => write!(f, "campaign file I/O: {e}"),
             CampaignError::HeaderMismatch { expected, found } => write!(
                 f,
@@ -261,6 +266,7 @@ impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CampaignError::Io(e) => Some(e),
+            CampaignError::OutOfClass(e) => Some(e),
             _ => None,
         }
     }

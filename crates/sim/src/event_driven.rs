@@ -202,6 +202,10 @@ impl Integrator for EventStep {
         Self::try_locked(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    fn check_class(config: &PllConfig) -> Result<(), OutOfClass> {
+        OutOfClass::check(config)
+    }
+
     #[inline]
     fn output(&self, x: &f64, drive: PfdOutput) -> f64 {
         self.kernels[slot(drive)].seg.output(*x)

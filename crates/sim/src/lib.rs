@@ -90,7 +90,7 @@ pub use event_driven::{EventDrivenCpPll, OutOfClass};
 pub use linear::LoopAnalysis;
 pub use observe::{CampaignObserver, ObservatoryConfig};
 pub use plan::{CampaignPlan, Scheduler};
-pub use scenario::{run_plan, PlanOutcome, Scenario, SupervisedPoints};
+pub use scenario::{run_plan, PlanOutcome, PlanRun, Scenario};
 pub use server::{http_get, http_get_with_retries, http_post, HttpError};
 pub use service::{
     submission_body, CampaignService, CrashFault, FaultPlan, JobSpec, ServiceConfig, VoltsCodec,

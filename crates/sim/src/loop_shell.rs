@@ -35,6 +35,7 @@
 use crate::campaign::{bits_hex, f64_from_bits_hex};
 use crate::config::{DriveConfig, PllConfig};
 use crate::engine::{AnalogAccess, PllEngine, WorkStats};
+use crate::event_driven::OutOfClass;
 use crate::noise::{NoiseConfig, NoiseSource};
 use crate::stimulus::FmStimulus;
 use pllbist_analog::filter::LoopFilter;
@@ -130,6 +131,12 @@ pub trait Integrator: Sized {
     ///
     /// Panics if the integrator cannot represent `config`.
     fn locked(config: &PllConfig) -> (Self, Self::State);
+
+    /// [`PllEngine::check_class`]: why [`locked`](Self::locked) cannot
+    /// represent `config` (by default it always can).
+    fn check_class(_config: &PllConfig) -> Result<(), OutOfClass> {
+        Ok(())
+    }
 
     /// The filter output (control) voltage at state `x` under `drive`.
     fn output(&self, x: &Self::State, drive: PfdOutput) -> f64;
@@ -803,6 +810,10 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
 
     fn backend_name() -> &'static str {
         I::BACKEND
+    }
+
+    fn check_class(config: &PllConfig) -> Result<(), OutOfClass> {
+        I::check_class(config)
     }
 
     fn encode_checkpoint(snapshot: &Self::Checkpoint) -> Option<String> {

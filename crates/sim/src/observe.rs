@@ -4,8 +4,8 @@
 //! A [`CampaignObserver`] bundles the lock-free progress board
 //! ([`pllbist_telemetry::ProgressBoard`]), the flight-recorder ring
 //! ([`pllbist_telemetry::FlightRecorder`]) and a stall detector. The
-//! sweep path ([`crate::scenario::Scenario::run_points`], reached by
-//! attaching the observer via [`crate::plan::CampaignPlan::observed`])
+//! runner (reached by attaching the observer to a plan with
+//! [`crate::plan::CampaignPlan::observed`])
 //! calls its hooks as points are claimed, finished and flushed; the
 //! campaign service's per-job views (`GET /jobs/<id>/progress`,
 //! `/workers`, `/incidents` on [`crate::service::CampaignService`]) and

@@ -9,10 +9,9 @@
 //! and writes its result into that point's pre-sized slot, so a
 //! straggler point (e.g. a quarantine-and-retry cascade) delays only the
 //! worker that owns it. [`par_try_map_points_worker`] adds per-point
-//! panic containment. The campaign runner
-//! ([`crate::scenario::Scenario::run_points`]) is built on it, and every
-//! sweep in the workspace — the Table 2 monitor included — runs through
-//! that runner.
+//! panic containment. The campaign runner under the one plan entry
+//! ([`crate::scenario::run_plan`]) is built on it, and every sweep in
+//! the workspace — the Table 2 monitor included — runs through it.
 //!
 //! Determinism contract: when the per-item function is a pure function of
 //! the item (as every runner capture is — each point starts from its own

@@ -1,13 +1,7 @@
 //! The composable campaign description: one [`CampaignPlan`] instead of
-//! a combinatorial family of suffixed entry points.
-//!
-//! Eight growth steps (engines, checkpointing, supervision,
-//! work-stealing, resume, observation) each used to multiply the sweep
-//! API surface by two (`sweep_points_supervised_resumed_observed`,
-//! `measure_sweep_resumable_on`, …). The feature axes are genuinely
-//! orthogonal — the engine axis is the closed-form-vs-micro-stepped
-//! model split, the supervision axis types the never-locking regimes as
-//! outcomes — so they are expressed here as **options on one plan**:
+//! a combinatorial family of suffixed entry points. Engine, checkpoint
+//! reuse, supervision, scheduling, resume and observation are orthogonal
+//! axes, so they are **options on one plan**:
 //!
 //! ```no_run
 //! use pllbist_sim::config::PllConfig;
@@ -23,23 +17,19 @@
 //!     .resume_from("campaign.jsonl");
 //! ```
 //!
-//! Every combination lowers onto the **single** runner
-//! ([`crate::scenario::run_plan`] /
-//! [`crate::scenario::Scenario::run_points`]); there is no per-feature
-//! code path left to diverge. The standing invariant carries over: on a
-//! healthy grid, every plan combination is bitwise identical to the
-//! serial unsupervised baseline at every thread count (pinned by
-//! `crates/sim/tests/plan_matrix.rs`).
+//! Every plan runs through the one plan entry,
+//! [`crate::scenario::run_plan`] (or its two steps,
+//! [`crate::scenario::PlanRun`]); on a healthy grid every combination is
+//! bitwise identical to the serial unsupervised baseline at every thread
+//! count (pinned by `crates/sim/tests/plan_matrix.rs`).
 //!
-//! A plan is also the **submission payload** of the future campaign
-//! service (ROADMAP item 2): [`CampaignPlan::header_line`] serialises
-//! everything result-affecting — config digest, grid size, engine
-//! backend, supervision policy — into a campaign-shaped JSONL header,
-//! and [`CampaignPlan::from_header`] round-trips it, refusing backend or
-//! digest mismatches exactly like a resumed results file. Scheduling
-//! knobs (threads, checkpoint reuse, telemetry, observers) are
-//! deliberately **excluded from the digest**: they never change results,
-//! so a campaign killed on 16 threads may resume on 1.
+//! A plan is also the campaign service's **submission payload**:
+//! [`CampaignPlan::header_line`] serialises everything result-affecting
+//! (config digest, grid size, engine backend, supervision policy) and
+//! [`CampaignPlan::from_header`] round-trips it, refusing backend or
+//! digest mismatches like a foreign results file. Scheduling knobs are
+//! **excluded from the digest**: they never change results, so a
+//! campaign killed on 16 threads may resume on 1.
 
 use crate::behavioral::CpPll;
 use crate::campaign::{
@@ -95,10 +85,11 @@ impl Scheduler {
 /// supervision, scheduling, resume file and observer.
 ///
 /// Construct with [`CampaignPlan::new`] and chain the builder methods;
-/// execute by handing the plan to [`crate::scenario::run_plan`], the
-/// bench layer ([`crate::bench_measure::run_sweep`]) or the monitor
-/// (`TransferFunctionMonitor::measure`). See the [module docs](self)
-/// for the digest/serialisation contract.
+/// execute it on the one plan entry, [`crate::scenario::run_plan`],
+/// directly or through the bench layer
+/// ([`crate::bench_measure::run_sweep`]), the campaign service or the
+/// monitor (`TransferFunctionMonitor::measure`). See the
+/// [module docs](self) for the digest/serialisation contract.
 pub struct CampaignPlan<E: PllEngine = CpPll> {
     config: PllConfig,
     lock_settle_secs: Option<f64>,
@@ -491,18 +482,11 @@ impl<E: PllEngine> CampaignPlan<E> {
         } else {
             None
         };
-        let plan = Self {
-            config,
-            lock_settle_secs,
-            checkpoint,
-            sidecar: false,
-            supervision,
-            scheduler: Scheduler::default(),
-            resume_path: None,
-            observer: None,
-            telemetry: TelemetryConfig::disabled(),
-            _engine: PhantomData,
-        };
+        let mut plan = CampaignPlan::new(config)
+            .engine::<E>()
+            .checkpoint(checkpoint);
+        plan.lock_settle_secs = lock_settle_secs;
+        plan.supervision = supervision;
         let recomputed = plan.digest(f_mod_hz, workload_salt);
         if recomputed != digest {
             return Err(CampaignError::HeaderMismatch {

@@ -1,28 +1,27 @@
-//! The shared settle→stimulate→capture sweep pipeline and the **single**
-//! campaign runner every plan combination lowers onto.
+//! The shared settle→stimulate→capture pipeline and the **one** plan
+//! entry every measurement lowers onto.
 //!
-//! Every transfer-function measurement in this workspace — the Table 2
-//! BIST monitor, the bench-style baseline, the fault campaigns — walks
-//! the same skeleton: build a locked loop, let the lock transient die
-//! out, program a stimulus, wait for the modulation steady state, then
-//! capture. This module owns that skeleton once, for any
-//! [`PllEngine`] backend, with **lock-state checkpointing**: the settle
-//! phase runs once per configuration and each sweep point restores the
-//! snapshot instead of re-locking from scratch.
+//! Every transfer-function measurement here — the Table 2 BIST monitor,
+//! the bench-style baseline, the service's campaigns — walks the same
+//! skeleton: build a locked loop, let the lock transient die out, program
+//! a stimulus, wait for the modulation steady state, capture. This module
+//! owns it once, for any [`PllEngine`], with **lock-state
+//! checkpointing**: the settle runs once per configuration and each point
+//! restores the snapshot.
 //!
-//! Since the [`crate::plan`] refactor there is exactly **one** execution
-//! path: [`Scenario::run_points`] composes checkpointing, supervision,
-//! work-stealing scheduling, campaign-log resume and observer wiring
-//! from its arguments, and [`run_plan`] lowers a
-//! [`CampaignPlan`] onto it. Feature combinations are options, not
-//! separate functions, so they cannot diverge.
+//! [`run_plan`] (or its two steps, [`PlanRun::open`] then
+//! [`PlanRun::run`]) lowers a [`CampaignPlan`] onto the one runner,
+//! composing checkpointing, supervision, work stealing, resume and
+//! observation from the plan's options. Every capture receives the
+//! point's grid index and every run returns one [`PlanOutcome`];
+//! [`Scenario::run_points`] is a value-only shim for callers that own
+//! their log and collector.
 //!
-//! None of the options change results on a healthy grid:
-//! [`PllEngine::restore`] is bit-exact, supervision guardrails are
-//! read-only, observers and telemetry only watch, and scheduling only
-//! picks *which worker* computes a point. A run with every option
-//! enabled is bitwise identical to the serial unsupervised baseline at
-//! any thread count (pinned by `crates/sim/tests/plan_matrix.rs` and the
+//! No option changes results on a healthy grid: restores are bit-exact,
+//! guardrails read-only, observers and telemetry only watch, scheduling
+//! only picks *which worker* computes a point. A run with every option on
+//! is bitwise identical to the serial unsupervised baseline at any thread
+//! count (pinned by `crates/sim/tests/plan_matrix.rs` and the
 //! workspace's `checkpoint_determinism` test).
 
 use crate::campaign::{CampaignLog, PointCodec};
@@ -35,10 +34,11 @@ use crate::plan::CampaignPlan;
 use crate::sidecar::{LockSidecar, SidecarOutcome};
 use crate::stimulus::FmStimulus;
 use crate::supervisor::{
-    emit_incident, supervised_point, Incident, IncidentAction, PointOutcome, Supervised,
+    emit_incident, engine_for_attempt, supervised_point, Incident, IncidentAction, Supervised,
     SupervisorPolicy,
 };
 use pllbist_telemetry::{Collector, Record};
+use std::collections::BTreeMap;
 
 /// The loop-settle-time heuristic, in seconds — the **single** workspace
 /// definition (bench, monitor and transient-horizon logic all derive
@@ -55,13 +55,9 @@ pub fn settle_time(config: &PllConfig) -> f64 {
 }
 
 /// One measurement scenario: a configuration plus the lock-settle wait
-/// its engines start from.
-///
-/// `Scenario` is the factory the sweep paths share. It builds engines at
-/// their *settled* lock point — either from scratch
-/// ([`settle_fresh`](Self::settle_fresh)) or by restoring a
-/// [`lock_checkpoint`](Self::lock_checkpoint) — and fans sweeps out over
-/// threads with the workspace's bitwise-determinism contract intact.
+/// its engines start from. It builds engines at their *settled* lock
+/// point, from scratch ([`settle_fresh`](Self::settle_fresh)) or by
+/// restoring a [`lock_checkpoint`](Self::lock_checkpoint).
 #[derive(Clone, Copy, Debug)]
 pub struct Scenario<'a> {
     config: &'a PllConfig,
@@ -142,65 +138,22 @@ impl<'a> Scenario<'a> {
         pll.advance_to(t + settle_secs);
     }
 
-    /// Settles one engine and snapshots it, containing a divergent
-    /// settle: on failure the snapshot is dropped and each point settles
-    /// (and fails, and is quarantined) individually. The wrapper carries
-    /// `policy`'s guardrails when supervision is on and is a plain
-    /// pass-through otherwise — bit-identical state either way on a
-    /// healthy configuration.
-    fn guarded_snapshot<E: PllEngine>(
-        &self,
-        policy: Option<&SupervisorPolicy>,
-        telemetry: &Collector,
-    ) -> Option<E::Checkpoint> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = pllbist_telemetry::span!(telemetry, "scenario.checkpoint");
-            let mut pll = match policy {
-                Some(policy) => Supervised::new(E::new_locked(self.config), policy),
-                None => Supervised::unsupervised(E::new_locked(self.config)),
-            };
-            let t0 = pll.time();
-            pll.advance_to(t0 + self.lock_settle_secs);
-            pll.checkpoint()
-        }))
-        .map_err(crate::error::rethrow_if_kill)
-        .ok()
-    }
-
-    /// **The** campaign runner: every sweep in the workspace — bench,
-    /// monitor grid, fault campaigns, every ablation — executes here,
-    /// with each orthogonal feature composed from an argument instead of
-    /// a dedicated entry point:
-    ///
-    /// * `threads` — work-stealing point schedule
-    ///   ([`par_try_map_points_worker`]): a shared atomic work index, so
-    ///   a straggler (e.g. a retry cascade) delays only the worker that
-    ///   claimed it. `1` is the serial baseline schedule.
-    /// * `checkpoint` — settle once and restore per point ([`restore`]
-    ///   is bit-exact) vs settle every point from scratch.
-    /// * `policy` — `Some`: guardrails, panic isolation and the
-    ///   deterministic quarantine-and-retry ladder per point
-    ///   ([`supervised_point`]); `None`: one attempt per point on an
-    ///   unguarded engine (panic isolation still applies, so a sick
-    ///   point quarantines instead of unwinding the sweep).
-    /// * `log` — campaign-file resume: completed points load from the
-    ///   file (counted in `campaign.points_skipped`), new points stream
-    ///   to it in index order as they land.
-    /// * `sidecar` — persisted lock-state cache: when checkpointing, a
-    ///   valid sidecar replaces the settle transient entirely
-    ///   (`campaign.sidecar_hits`), a missing or rejected one
-    ///   (`campaign.sidecar_rejects`) falls back to settling — and the
-    ///   fresh snapshot is stored for the next restart. Restores are
-    ///   bit-exact, so the sidecar never changes results.
-    /// * `observer` — live claims/outcomes/flushes for the service's
-    ///   per-job views or a progress line; read-only by construction.
-    ///
-    /// On a healthy grid the capture sequence — and therefore every
-    /// result bit — is identical across **all** combinations at every
-    /// thread count; the options differ only in scheduling, fault
-    /// containment and what gets recorded on the side.
-    ///
-    /// [`restore`]: PllEngine::restore
+    /// **The** campaign runner with a value-only capture, for callers
+    /// that own their log, sidecar and collector (replays, ablations);
+    /// everything else enters through [`run_plan`], whose captures also
+    /// get the grid index. Each feature is an argument: `threads` (work
+    /// stealing, [`par_try_map_points_worker`]; `1` is the serial
+    /// baseline), `checkpoint` (settle once, restore per point), `policy`
+    /// (guardrails and the quarantine-and-retry ladder of
+    /// [`supervised_point`]; panics are contained either way), `log`
+    /// (resume: completed points load, counted in
+    /// `campaign.points_skipped`; new ones stream in index order),
+    /// `sidecar` (a valid one replaces the settle, `campaign.sidecar_hits`;
+    /// a rejected one, `campaign.sidecar_rejects`, falls back and is
+    /// rewritten) and `observer` (read-only live progress). On a healthy
+    /// grid every combination captures the same sequence, so every result
+    /// bit is identical at every thread count. The outcome's `telemetry`
+    /// is empty: the caller drains its own collector.
     #[allow(clippy::too_many_arguments)]
     pub fn run_points<E, C, F>(
         &self,
@@ -213,21 +166,53 @@ impl<'a> Scenario<'a> {
         sidecar: Option<&LockSidecar>,
         observer: Option<&CampaignObserver>,
         capture: F,
-    ) -> SupervisedPoints<C::Point>
+    ) -> PlanOutcome<C::Point>
     where
         E: PllEngine,
         C: PointCodec,
         C::Point: Clone + Sync,
         F: Fn(&mut Supervised<E>, f64) -> Result<C::Point, SweepPointError> + Sync,
     {
-        let missing: Vec<usize> = match log {
-            Some(log) => (0..f_mod_hz.len())
-                .filter(|&i| !log.is_completed(i))
-                .collect(),
-            None => (0..f_mod_hz.len()).collect(),
-        };
+        self.sweep(
+            f_mod_hz,
+            threads,
+            checkpoint,
+            policy,
+            telemetry,
+            log,
+            sidecar,
+            observer,
+            |pll, _, f_mod| capture(pll, f_mod),
+        )
+    }
+
+    /// [`run_points`](Self::run_points) with an indexed capture: the
+    /// indexed core under the plan entry. `capture` receives the point's
+    /// engine, grid index and frequency.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep<E, C, F>(
+        &self,
+        f_mod_hz: &[f64],
+        threads: usize,
+        checkpoint: bool,
+        policy: Option<&SupervisorPolicy>,
+        telemetry: &Collector,
+        log: Option<&CampaignLog<C>>,
+        sidecar: Option<&LockSidecar>,
+        observer: Option<&CampaignObserver>,
+        capture: F,
+    ) -> PlanOutcome<C::Point>
+    where
+        E: PllEngine,
+        C: PointCodec,
+        C::Point: Clone + Sync,
+        F: Fn(&mut Supervised<E>, usize, f64) -> Result<C::Point, SweepPointError> + Sync,
+    {
+        let missing: Vec<usize> = (0..f_mod_hz.len())
+            .filter(|&i| !log.is_some_and(|log| log.is_completed(i)))
+            .collect();
         let skipped = f_mod_hz.len() - missing.len();
-        if log.is_some() && telemetry.is_enabled() {
+        if log.is_some() {
             telemetry.add("campaign.points_skipped", skipped as u64);
         }
         if let Some(obs) = observer {
@@ -238,18 +223,14 @@ impl<'a> Scenario<'a> {
         } else {
             let cached = sidecar.and_then(|sc| match sc.load::<E>() {
                 SidecarOutcome::Hit(snap) => {
-                    if telemetry.is_enabled() {
-                        telemetry.add("campaign.sidecar_hits", 1);
-                    }
+                    telemetry.add("campaign.sidecar_hits", 1);
                     if let Some(obs) = observer {
                         obs.note("sidecar hit: settle skipped");
                     }
                     Some(snap)
                 }
                 SidecarOutcome::Rejected(reason) => {
-                    if telemetry.is_enabled() {
-                        telemetry.add("campaign.sidecar_rejects", 1);
-                    }
+                    telemetry.add("campaign.sidecar_rejects", 1);
                     if let Some(obs) = observer {
                         obs.note(&format!("sidecar rejected: {reason}"));
                     }
@@ -260,7 +241,15 @@ impl<'a> Scenario<'a> {
             match cached {
                 Some(snap) => Some(snap),
                 None => {
-                    let snap = self.guarded_snapshot::<E>(policy, telemetry);
+                    // Settle once under the run's guardrails. A divergent
+                    // settle drops the snapshot: each point then settles
+                    // (and fails, and is quarantined) on its own.
+                    let snap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _span = pllbist_telemetry::span!(telemetry, "scenario.checkpoint");
+                        engine_for_attempt::<E>(self, None, policy, 0).checkpoint()
+                    }))
+                    .map_err(crate::error::rethrow_if_kill)
+                    .ok();
                     if let (Some(sc), Some(snap)) = (sidecar, snap.as_ref()) {
                         // Best-effort cache write: an IO failure here
                         // costs the next restart a settle, nothing more.
@@ -283,7 +272,7 @@ impl<'a> Scenario<'a> {
                     policy,
                     f_mod,
                     telemetry,
-                    |pll| capture(pll, f_mod),
+                    |pll| capture(pll, index, f_mod),
                 );
                 if let Some(log) = log {
                     log.record(index, &outcome.result);
@@ -296,10 +285,7 @@ impl<'a> Scenario<'a> {
                 }
                 Ok(outcome)
             });
-        let mut fresh: std::collections::BTreeMap<
-            usize,
-            Result<PointOutcome<C::Point>, SweepPointError>,
-        > = missing.iter().copied().zip(computed).collect();
+        let mut fresh: BTreeMap<usize, _> = missing.iter().copied().zip(computed).collect();
         let mut points = Vec::with_capacity(f_mod_hz.len());
         let mut incidents = Vec::new();
         for (index, &f_mod) in f_mod_hz.iter().enumerate() {
@@ -341,37 +327,160 @@ impl<'a> Scenario<'a> {
                 None => unreachable!("index {index} neither loaded nor computed"),
             }
         }
-        SupervisedPoints { points, incidents }
+        PlanOutcome {
+            points,
+            incidents,
+            telemetry: Vec::new(),
+        }
     }
 }
 
-/// A completed plan run: per-point outcomes in input order, the incident
-/// log, and the drained telemetry.
+/// A completed campaign run: per-point outcomes in input order, the
+/// incident log, and the drained telemetry — the one result type of
+/// [`run_plan`], [`PlanRun::run`] and [`Scenario::run_points`].
 #[derive(Clone, Debug)]
 pub struct PlanOutcome<R> {
     /// Per-point outcomes, aligned with the requested `f_mod_hz`.
     pub points: Vec<Result<R, SweepPointError>>,
     /// Every retry/quarantine incident, in occurrence order per point.
     pub incidents: Vec<Incident>,
-    /// Drained telemetry (empty when the plan's telemetry is off).
+    /// Drained telemetry (empty when the plan's telemetry is off, and
+    /// from [`Scenario::run_points`], whose caller owns the collector).
     pub telemetry: Vec<Record>,
 }
 
-/// Lowers a [`CampaignPlan`] onto [`Scenario::run_points`]: builds the
-/// telemetry collector, opens the resumable campaign log when the plan
-/// names one (digest = [`CampaignPlan::digest`] over `workload_salt`),
-/// runs the sweep with every plan option composed in, and closes the log.
-///
-/// `capture` receives the per-point engine, the point's modulation
-/// frequency and the run's collector (for measurement-layer spans and
-/// counters — e.g. `bench.point`).
+impl<R> PlanOutcome<R> {
+    /// Number of healthy points.
+    pub fn ok_count(&self) -> usize {
+        self.points.iter().filter(|p| p.is_ok()).count()
+    }
+
+    /// Number of quarantined points.
+    pub fn quarantined_count(&self) -> usize {
+        self.points.len() - self.ok_count()
+    }
+
+    /// The surviving (non-quarantined) points, in sweep order.
+    pub fn ok_points(&self) -> Vec<R>
+    where
+        R: Clone,
+    {
+        self.points.iter().filter_map(|p| p.clone().ok()).collect()
+    }
+}
+
+/// A [`CampaignPlan`] opened over a grid — the open step of
+/// [`run_plan`], for callers that need the run before it starts: the
+/// service installs its write-fault hook on the [`log`](Self::log), the
+/// monitor takes its nominal reading on the [`telemetry`](Self::telemetry).
+pub struct PlanRun<'p, E: PllEngine, C: PointCodec> {
+    plan: &'p CampaignPlan<E>,
+    f_mod_hz: &'p [f64],
+    telemetry: Collector,
+    log: Option<CampaignLog<C>>,
+    sidecar: Option<LockSidecar>,
+}
+
+impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
+    /// [`in_memory`](Self::in_memory), plus the plan's resume file
+    /// (digest = [`CampaignPlan::digest`] over `workload_salt`) and
+    /// sidecar when it names them.
+    ///
+    /// # Errors
+    ///
+    /// Those of `in_memory`, then a results file that belongs to another
+    /// campaign ([`CampaignError::HeaderMismatch`]), is corrupted before
+    /// its final line, or fails on the filesystem.
+    pub fn open(
+        plan: &'p CampaignPlan<E>,
+        f_mod_hz: &'p [f64],
+        codec: C,
+        workload_salt: &str,
+    ) -> Result<Self, CampaignError> {
+        let mut run = Self::in_memory(plan, f_mod_hz)?;
+        if let Some(path) = plan.resume_path() {
+            let digest = plan.digest(f_mod_hz, workload_salt);
+            let log = CampaignLog::open(path, codec, digest.clone(), f_mod_hz.len())?;
+            let sidecar = LockSidecar::for_results_file(path, digest);
+            run.log = Some(log);
+            run.sidecar = plan.sidecar_enabled().then_some(sidecar);
+        }
+        Ok(run)
+    }
+
+    /// Checks the configuration against the engine
+    /// ([`PllEngine::check_class`]) and builds the run's collector. The
+    /// plan's `resume_from`/`sidecar` are ignored: nothing touches the
+    /// disk (for outcomes that have no [`PointCodec`] yet).
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::OutOfClass`], before anything is settled.
+    pub fn in_memory(
+        plan: &'p CampaignPlan<E>,
+        f_mod_hz: &'p [f64],
+    ) -> Result<Self, CampaignError> {
+        E::check_class(plan.config()).map_err(CampaignError::OutOfClass)?;
+        Ok(Self {
+            plan,
+            f_mod_hz,
+            telemetry: Collector::from_config(plan.telemetry_config()),
+            log: None,
+            sidecar: None,
+        })
+    }
+
+    /// The run's collector, drained into [`PlanOutcome::telemetry`].
+    pub fn telemetry(&self) -> &Collector {
+        &self.telemetry
+    }
+
+    /// The open results file, if any.
+    pub fn log(&self) -> Option<&CampaignLog<C>> {
+        self.log.as_ref()
+    }
+
+    /// Runs the grid with every plan option composed in, closes the
+    /// results file and drains the telemetry. `capture` gets the point's
+    /// engine, grid index, modulation frequency and the run's collector.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Io`] from [`CampaignLog::finish`].
+    pub fn run<F>(self, capture: F) -> Result<PlanOutcome<C::Point>, CampaignError>
+    where
+        C::Point: Clone + Sync,
+        F: Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<C::Point, SweepPointError>
+            + Sync,
+    {
+        let plan = self.plan;
+        let mut outcome = plan.scenario().sweep::<E, C, _>(
+            self.f_mod_hz,
+            plan.schedule().threads(),
+            plan.checkpoint_enabled(),
+            plan.supervision(),
+            &self.telemetry,
+            self.log.as_ref(),
+            self.sidecar.as_ref(),
+            plan.observer(),
+            |pll, index, f_mod| capture(pll, index, f_mod, &self.telemetry),
+        );
+        if let Some(log) = &self.log {
+            log.finish(true)?;
+        }
+        outcome.telemetry = self.telemetry.drain();
+        Ok(outcome)
+    }
+}
+
+/// **The** plan entry, [`PlanRun::open`] then [`PlanRun::run`]: the bench
+/// sweep, the service's attempts and (through [`PlanRun::in_memory`])
+/// the Table 2 monitor all lower onto it.
 ///
 /// # Errors
 ///
-/// [`CampaignError`] when the plan's results file belongs to a different
-/// campaign ([`CampaignError::HeaderMismatch`]), is corrupted before its
-/// final line, or the filesystem fails. Plans without a resume file
-/// cannot fail this way.
+/// Those of the two steps; none for an in-class plan without a resume
+/// file.
 pub fn run_plan<E, C, F>(
     plan: &CampaignPlan<E>,
     f_mod_hz: &[f64],
@@ -383,65 +492,9 @@ where
     E: PllEngine,
     C: PointCodec,
     C::Point: Clone + Sync,
-    F: Fn(&mut Supervised<E>, f64, &Collector) -> Result<C::Point, SweepPointError> + Sync,
+    F: Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<C::Point, SweepPointError> + Sync,
 {
-    let telemetry = Collector::from_config(plan.telemetry_config());
-    let digest = plan.digest(f_mod_hz, workload_salt);
-    let log = match plan.resume_path() {
-        Some(path) => Some(CampaignLog::open(
-            path,
-            codec,
-            digest.clone(),
-            f_mod_hz.len(),
-        )?),
-        None => None,
-    };
-    let sidecar = match plan.resume_path() {
-        Some(path) if plan.sidecar_enabled() => Some(LockSidecar::for_results_file(path, digest)),
-        _ => None,
-    };
-    let scenario = plan.scenario();
-    let swept = scenario.run_points::<E, C, _>(
-        f_mod_hz,
-        plan.schedule().threads(),
-        plan.checkpoint_enabled(),
-        plan.supervision(),
-        &telemetry,
-        log.as_ref(),
-        sidecar.as_ref(),
-        plan.observer(),
-        |pll, f_mod| capture(pll, f_mod, &telemetry),
-    );
-    if let Some(log) = &log {
-        log.finish(true)?;
-    }
-    Ok(PlanOutcome {
-        points: swept.points,
-        incidents: swept.incidents,
-        telemetry: telemetry.drain(),
-    })
-}
-
-/// A supervised sweep's output: one `Result` per requested point (input
-/// order) plus the full incident log.
-#[derive(Clone, Debug)]
-pub struct SupervisedPoints<R> {
-    /// Per-point outcomes, aligned with the requested `f_mod_hz`.
-    pub points: Vec<Result<R, SweepPointError>>,
-    /// Every retry/quarantine incident, in occurrence order per point.
-    pub incidents: Vec<Incident>,
-}
-
-impl<R> SupervisedPoints<R> {
-    /// Number of healthy points.
-    pub fn ok_count(&self) -> usize {
-        self.points.iter().filter(|p| p.is_ok()).count()
-    }
-
-    /// Number of quarantined points.
-    pub fn quarantined_count(&self) -> usize {
-        self.points.len() - self.ok_count()
-    }
+    PlanRun::open(plan, f_mod_hz, codec, workload_salt)?.run(capture)
 }
 
 #[cfg(test)]

@@ -1,21 +1,21 @@
 //! Crash-only campaign service: the durable front door for sweep jobs.
 //!
 //! A [`CampaignService`] accepts campaign submissions over plain HTTP
-//! (`std::net`, no dependencies), runs them through the existing
-//! work-stealing resumable pipeline
-//! ([`crate::scenario::Scenario::run_points`]) and streams results and
-//! progress back out, the running job's [`CampaignObserver`] included
+//! (`std::net`, no dependencies), runs each attempt through the one plan
+//! entry ([`PlanRun`]: the submitted plan with the job's results file,
+//! sidecar and observer attached) and streams results and progress back
+//! out, the running job's [`CampaignObserver`] included
 //! (`GET /jobs/<id>/progress`, `/workers`, `/incidents`): this router is
 //! the crate's one HTTP surface. The design is **crash-only**: there is no
 //! distinction between a crash and a normal stop. Every state
 //! transition lands in an append-only fsynced journal *before* the work
 //! it describes, the campaign results file is the same
-//! torn-write-tolerant [`CampaignLog`] JSONL the batch runner uses, and
-//! on start the service rescans its root directory and resumes every
-//! job whose journal does not end in `done`/`failed`. Killing the
-//! process with SIGKILL at any instant therefore loses at most the
-//! in-flight point — never completed work, and never byte-identity of
-//! the final results file.
+//! torn-write-tolerant [`CampaignLog`](crate::campaign::CampaignLog)
+//! JSONL the batch runner uses, and on start the service rescans its
+//! root directory and resumes every job whose journal does not end in
+//! `done`/`failed`. Killing the process with SIGKILL at any instant
+//! therefore loses at most the in-flight point — never completed work,
+//! and never byte-identity of the final results file.
 //!
 //! # Job directory layout
 //!
@@ -25,9 +25,9 @@
 //! |-------------------------|---------------------------------------------|
 //! | `submit.jsonl`          | the submission, persisted temp+rename       |
 //! | `job.jsonl`             | append-only lifecycle journal (fsynced)     |
-//! | `campaign.jsonl`        | the [`CampaignLog`] results file            |
+//! | `campaign.jsonl`        | the `CampaignLog` results file              |
 //! | `campaign.flight.jsonl` | flight-recorder dump sidecar                |
-//! | `campaign.ckpt`         | [`LockSidecar`] settled-lock checkpoint     |
+//! | `campaign.ckpt`         | `LockSidecar` settled-lock checkpoint       |
 //!
 //! # Deterministic fault injection
 //!
@@ -35,7 +35,9 @@
 //! a [`FaultPlan`] (derived from the seeded testkit PRNG) that injects
 //! worker panics, retryable point failures, torn and rejected writes on
 //! the results file, torn journal appends and mid-sweep process kills
-//! ([`crate::error::InjectedKill`]) at exact, reproducible places. The
+//! ([`crate::error::InjectedKill`]) at exact, reproducible places, all
+//! outside the production capture ([`FaultPlan::wrap_capture`],
+//! [`FaultPlan::write_fault`]). The
 //! `abl15_crash_only_service` ablation drives the service through those
 //! faults plus real process kills and asserts every campaign completes
 //! with a results file byte-identical to an uninterrupted serial
@@ -50,22 +52,23 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::behavioral::CpPll;
-use crate::campaign::{bits_hex, f64_from_bits_hex, CampaignLog, InjectedWriteFault, PointCodec};
+use crate::campaign::{
+    bits_hex, f64_from_bits_hex, InjectedWriteFault, PointCodec, WriteFaultHook,
+};
 use crate::config::{DriveConfig, FilterConfig, PllConfig};
 use crate::engine::{ClosedFormPll, PllEngine};
 use crate::error::{CampaignError, InjectedKill, SweepPointError};
 use crate::event_driven::{EventDrivenCpPll, OutOfClass};
 use crate::observe::{CampaignObserver, ObservatoryConfig};
 use crate::parallel::resolve_threads;
-use crate::plan::CampaignPlan;
-use crate::scenario::Scenario;
+use crate::plan::{CampaignPlan, Scheduler};
+use crate::scenario::{PlanRun, Scenario};
 use crate::server::{read_http_request, write_http_response, HttpRequest};
-use crate::sidecar::LockSidecar;
 use crate::stimulus::FmStimulus;
 use crate::supervisor::Supervised;
 use pllbist_telemetry::json::{json_str_field, json_u64_field};
 use pllbist_telemetry::recorder::{FlightEventKind, NO_POINT};
-use pllbist_telemetry::{Collector, Fields, Record, Value, SCHEMA_VERSION};
+use pllbist_telemetry::{Collector, Fields, Record, TelemetryConfig, Value, SCHEMA_VERSION};
 use pllbist_testkit::rng::TestRng;
 
 /// Journal/submission record bin tag.
@@ -344,6 +347,66 @@ impl FaultPlan {
         }
     }
 
+    /// Wraps an indexed capture with the point-level faults and attempt
+    /// `attempt`'s kill, so no injection lives in the capture itself: a
+    /// scheduled kill unwinds with [`InjectedKill`] once `after_points`
+    /// captures have started, a `flaky_quarantine` index panics, and a
+    /// `flaky_retry` index fails its first capture of the attempt. Faults
+    /// key on the runner's grid index, never on the frequency.
+    pub fn wrap_capture<'a, E, P, F>(
+        &'a self,
+        attempt: u32,
+        capture: F,
+    ) -> impl Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<P, SweepPointError> + Sync + 'a
+    where
+        E: PllEngine,
+        F: Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<P, SweepPointError> + Sync + 'a,
+    {
+        let kill_after = match self.crash.get(attempt as usize) {
+            Some(CrashFault::Kill { after_points })
+            | Some(CrashFault::KillTearingJournal { after_points }) => Some(*after_points),
+            _ => None,
+        };
+        let captures = AtomicUsize::new(0);
+        let retried = Mutex::new(BTreeSet::new());
+        move |pll, index, f_mod, telemetry| {
+            if let Some(limit) = kill_after {
+                if captures.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
+                    std::panic::panic_any(InjectedKill { sequence: attempt });
+                }
+            }
+            if self.flaky_quarantine.contains(&index) {
+                panic!("injected worker panic at point {index}");
+            }
+            if self.flaky_retry.contains(&index) && lock(&retried).insert(index) {
+                return Err(SweepPointError::DegenerateFit { f_mod_hz: f_mod });
+            }
+            capture(pll, index, f_mod, telemetry)
+        }
+    }
+
+    /// The results-file fault of attempt `attempt` as a
+    /// [`crate::campaign::CampaignLog::set_write_fault`] hook: a
+    /// [`CrashFault::TornResultWrite`] or [`CrashFault::ResultDiskFull`]
+    /// fires on its nth flush. `None` when the attempt schedules neither.
+    pub fn write_fault(&self, attempt: u32) -> Option<WriteFaultHook> {
+        let (at, torn_bytes, what) = match self.crash.get(attempt as usize)? {
+            CrashFault::TornResultWrite {
+                at_flush,
+                keep_bytes,
+            } => (*at_flush, *keep_bytes, "injected torn write"),
+            CrashFault::ResultDiskFull { at_flush } => (*at_flush, 0, "injected disk full"),
+            _ => return None,
+        };
+        let flushes = AtomicUsize::new(0);
+        Some(Box::new(move |_index| {
+            (flushes.fetch_add(1, Ordering::SeqCst) == at).then(|| InjectedWriteFault {
+                torn_bytes,
+                error: std::io::Error::other(what),
+            })
+        }))
+    }
+
     /// Serialises the plan for transport inside a submission.
     pub fn to_wire(&self) -> String {
         let csv = |v: &[usize]| -> String {
@@ -511,7 +574,10 @@ impl JobSpec {
     /// 16 lowercase hex characters (it names a directory — this is the
     /// path-traversal guard), the backend is not servable, the grid is
     /// empty / non-finite / non-positive / has duplicate bit patterns,
-    /// or the point count disagrees with the grid.
+    /// or the point count disagrees with the grid. The runner keys
+    /// captures and faults by grid index, so a repeated frequency would
+    /// run; it is refused here as outside input that measures one tone
+    /// twice, which is a client mistake rather than a campaign.
     pub fn parse(body: &str) -> Result<Self, String> {
         let header = body
             .lines()
@@ -1178,15 +1244,6 @@ enum AttemptError {
     Interrupted(String),
 }
 
-struct AttemptStats {
-    ok: usize,
-    quarantined: usize,
-    skipped: usize,
-    sidecar_hits: u64,
-    sidecar_rejects: u64,
-    wall_ms: u128,
-}
-
 fn run_job(state: &Arc<ServiceState>, job_id: &str) {
     *lock(&state.running) = Some(job_id.to_string());
     let journal = state.journal_path(job_id);
@@ -1224,25 +1281,12 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
             );
             let crash = spec.faults.crash.get(attempts as usize);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dispatch_attempt(state, &dir, &spec, attempts, crash)
+                dispatch_attempt(state, &dir, &spec, attempts)
             }));
             *lock(&state.current_observer) = None;
             match outcome {
-                Ok(Ok(stats)) => {
-                    let _ = journal_append(
-                        &journal,
-                        "done",
-                        attempts,
-                        &format!(
-                            "ok={} quarantined={} skipped={} sidecar_hits={} sidecar_rejects={} wall_ms={}",
-                            stats.ok,
-                            stats.quarantined,
-                            stats.skipped,
-                            stats.sidecar_hits,
-                            stats.sidecar_rejects,
-                            stats.wall_ms,
-                        ),
-                    );
+                Ok(Ok(summary)) => {
+                    let _ = journal_append(&journal, "done", attempts, &summary);
                     state.done.fetch_add(1, Ordering::SeqCst);
                     break;
                 }
@@ -1291,76 +1335,49 @@ fn dispatch_attempt(
     dir: &Path,
     spec: &JobSpec,
     attempt: u32,
-    crash: Option<&CrashFault>,
-) -> Result<AttemptStats, AttemptError> {
+) -> Result<String, AttemptError> {
     match spec.backend.as_str() {
-        "cp_pll" => execute_attempt::<CpPll>(state, dir, spec, attempt, crash),
-        "event_driven" => execute_attempt::<EventDrivenCpPll>(state, dir, spec, attempt, crash),
-        "closed_form" => execute_attempt::<ClosedFormPll>(state, dir, spec, attempt, crash),
+        "cp_pll" => execute_attempt::<CpPll>(state, dir, spec, attempt),
+        "event_driven" => execute_attempt::<EventDrivenCpPll>(state, dir, spec, attempt),
+        "closed_form" => execute_attempt::<ClosedFormPll>(state, dir, spec, attempt),
         other => Err(AttemptError::Fatal(format!("unknown backend \"{other}\""))),
     }
 }
 
+/// One attempt at a job: the submitted plan with the job directory's
+/// results file, sidecar and observer attached, run through the one plan
+/// entry with the attempt's faults wrapped around the capture.
 fn execute_attempt<E: PllEngine>(
     state: &ServiceState,
     dir: &Path,
     spec: &JobSpec,
     attempt: u32,
-    crash: Option<&CrashFault>,
-) -> Result<AttemptStats, AttemptError> {
+) -> Result<String, AttemptError> {
     let started = Instant::now();
     let plan =
         CampaignPlan::<E>::from_header(&spec.header, spec.config.clone(), &spec.grid, &spec.salt)
             .map_err(|e| AttemptError::Fatal(format!("header rejected: {e}")))?;
     let results = dir.join("campaign.jsonl");
-    let log = CampaignLog::open(&results, VoltsCodec, spec.digest.clone(), spec.grid.len())
-        .map_err(|e| match e {
-            CampaignError::Io(_) => AttemptError::Interrupted(format!("results open: {e}")),
-            other => AttemptError::Fatal(format!("results rejected: {other}")),
-        })?;
-    let skipped = log.completed_count();
-
-    match crash {
-        Some(CrashFault::TornResultWrite {
-            at_flush,
-            keep_bytes,
-        }) => {
-            let (at, keep) = (*at_flush, *keep_bytes);
-            let flushes = AtomicUsize::new(0);
-            log.set_write_fault(Some(Box::new(move |_index| {
-                if flushes.fetch_add(1, Ordering::SeqCst) == at {
-                    Some(InjectedWriteFault {
-                        torn_bytes: keep,
-                        error: std::io::Error::other("injected torn write"),
-                    })
-                } else {
-                    None
-                }
-            })));
-        }
-        Some(CrashFault::ResultDiskFull { at_flush }) => {
-            let at = *at_flush;
-            let flushes = AtomicUsize::new(0);
-            log.set_write_fault(Some(Box::new(move |_index| {
-                if flushes.fetch_add(1, Ordering::SeqCst) == at {
-                    Some(InjectedWriteFault {
-                        torn_bytes: 0,
-                        error: std::io::Error::other("injected disk full"),
-                    })
-                } else {
-                    None
-                }
-            })));
-        }
-        _ => {}
-    }
-
-    let sidecar = LockSidecar::for_results_file(&results, spec.digest.clone());
     let observer = Arc::new(CampaignObserver::new(
         spec.grid.len(),
         spec.threads,
         ObservatoryConfig::for_results_file(&results),
     ));
+    let plan = plan
+        .scheduler(Scheduler::WorkStealing {
+            threads: spec.threads,
+        })
+        .resume_from(&results)
+        .sidecar(true)
+        .observed(Arc::clone(&observer))
+        .telemetry(TelemetryConfig::enabled());
+    let run = PlanRun::open(&plan, &spec.grid, VoltsCodec, &spec.salt).map_err(|e| match e {
+        CampaignError::Io(_) => AttemptError::Interrupted(format!("results open: {e}")),
+        other => AttemptError::Fatal(format!("results rejected: {other}")),
+    })?;
+    if let Some(log) = run.log() {
+        log.set_write_fault(spec.faults.write_fault(attempt));
+    }
     if attempt > 0 {
         observer.recorder().record(
             0,
@@ -1371,78 +1388,41 @@ fn execute_attempt<E: PllEngine>(
     }
     *lock(&state.current_observer) = Some(Arc::clone(&observer));
 
-    let kill_after = match crash {
-        Some(CrashFault::Kill { after_points })
-        | Some(CrashFault::KillTearingJournal { after_points }) => Some(*after_points),
-        _ => None,
-    };
-    let captures = AtomicUsize::new(0);
-    let retry_fired: Vec<AtomicBool> = spec.grid.iter().map(|_| AtomicBool::new(false)).collect();
     let f_ref = spec.config.f_ref_hz;
-
-    let capture = |pll: &mut Supervised<E>, fm: f64| -> Result<f64, SweepPointError> {
-        if let Some(limit) = kill_after {
-            if captures.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
-                std::panic::panic_any(InjectedKill { sequence: attempt });
-            }
-        }
-        let index = spec
-            .grid
-            .iter()
-            .position(|g| g.to_bits() == fm.to_bits())
-            .unwrap_or(usize::MAX);
-        if spec.faults.flaky_quarantine.contains(&index) {
-            panic!("injected worker panic at point {index}");
-        }
-        if spec.faults.flaky_retry.contains(&index)
-            && !retry_fired[index].fetch_or(true, Ordering::SeqCst)
-        {
-            return Err(SweepPointError::DegenerateFit { f_mod_hz: fm });
-        }
-        Scenario::stimulate(
-            pll,
-            FmStimulus::pure_sine(f_ref, 0.02 * f_ref, fm),
-            2.0 / fm,
-        );
-        Ok(pll.control_voltage())
-    };
-
-    let telemetry = Collector::enabled();
-    let outcome = plan.scenario().run_points::<E, VoltsCodec, _>(
-        &spec.grid,
-        spec.threads,
-        plan.checkpoint_enabled(),
-        plan.supervision(),
-        &telemetry,
-        Some(&log),
-        Some(&sidecar),
-        Some(observer.as_ref()),
-        capture,
-    );
-
-    log.finish(true)
+    let outcome = run
+        .run(spec.faults.wrap_capture(
+            attempt,
+            |pll: &mut Supervised<E>, _, fm, _| -> Result<f64, SweepPointError> {
+                Scenario::stimulate(
+                    pll,
+                    FmStimulus::pure_sine(f_ref, 0.02 * f_ref, fm),
+                    2.0 / fm,
+                );
+                Ok(pll.control_voltage())
+            },
+        ))
         .map_err(|e| AttemptError::Interrupted(format!("results finish: {e}")))?;
     let _ = observer.finish();
 
-    let mut sidecar_hits = 0;
-    let mut sidecar_rejects = 0;
-    for record in telemetry.drain() {
-        if let Record::Counter { name, value } = record {
-            match name.as_str() {
-                "campaign.sidecar_hits" => sidecar_hits = value,
-                "campaign.sidecar_rejects" => sidecar_rejects = value,
-                _ => {}
-            }
-        }
-    }
-    Ok(AttemptStats {
-        ok: outcome.points.iter().filter(|p| p.is_ok()).count(),
-        quarantined: outcome.points.iter().filter(|p| p.is_err()).count(),
-        skipped,
-        sidecar_hits,
-        sidecar_rejects,
-        wall_ms: started.elapsed().as_millis(),
-    })
+    let counter = |wanted: &str| {
+        outcome
+            .telemetry
+            .iter()
+            .find_map(|record| match record {
+                Record::Counter { name, value } if name == wanted => Some(*value),
+                _ => None,
+            })
+            .unwrap_or(0)
+    };
+    Ok(format!(
+        "ok={} quarantined={} skipped={} sidecar_hits={} sidecar_rejects={} wall_ms={}",
+        outcome.ok_count(),
+        outcome.quarantined_count(),
+        counter("campaign.points_skipped"),
+        counter("campaign.sidecar_hits"),
+        counter("campaign.sidecar_rejects"),
+        started.elapsed().as_millis(),
+    ))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Persisted lock-state checkpoint sidecar.
 //!
 //! A checkpointed campaign pays its settle transient once per process:
-//! [`crate::scenario::Scenario::run_points`] settles one engine, snapshots
-//! it, and every point restores the snapshot. Across a **process death**
+//! the runner under [`crate::scenario::run_plan`] settles one engine,
+//! snapshots it, and every point restores the snapshot. Across a **process death**
 //! that settle was repaid on every restart — for the crash-only campaign
 //! service that is the dominant recovery cost on small grids. The
 //! [`LockSidecar`] closes the gap: after the settle, the snapshot is

@@ -37,8 +37,8 @@
 //! supervisor's `catch_unwind` recovers it *typed* (see
 //! [`SweepPointError::from_panic`]). Drive a [`Supervised`] engine
 //! through the supervisor entry points ([`supervised_point`], or any
-//! supervised [`crate::plan::CampaignPlan`] handed to the unified
-//! runner [`crate::scenario::run_plan`]) rather than bare, so trips are
+//! supervised [`crate::plan::CampaignPlan`] handed to the one plan
+//! entry [`crate::scenario::run_plan`]) rather than bare, so trips are
 //! contained instead of unwinding the caller.
 //!
 //! Determinism: retries are a pure function of `(config, point,
@@ -421,6 +421,10 @@ impl<E: PllEngine> PllEngine for Supervised<E> {
 
     fn backend_name() -> &'static str {
         E::backend_name()
+    }
+
+    fn check_class(config: &PllConfig) -> Result<(), crate::event_driven::OutOfClass> {
+        E::check_class(config)
     }
 
     fn work_stats(&self) -> WorkStats {

@@ -26,7 +26,7 @@ fn sweep_bits<E: PllEngine>(plan: &CampaignPlan<E>) -> Vec<u64> {
         &TONES,
         NullCodec::<f64>::new(),
         "plan-matrix",
-        |pll, _fm, _tel| {
+        |pll, _index, _fm, _tel| {
             let t = pll.time();
             pll.advance_to(t + 0.02);
             Ok(pll.control_voltage())

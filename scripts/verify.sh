@@ -79,6 +79,19 @@ if grep -rnE 'catch_unwind|pllbist_sim::parallel::' crates/core/src; then
   exit 1
 fi
 
+# Every measurement enters the runner through the one plan entry
+# (scenario::run_plan / PlanRun): the service's attempts and the Table 2
+# monitor included. This gate keeps it that way: opening a results log
+# or sidecar, or calling the value-only run_points shim, anywhere but
+# the runner's own modules means a caller re-implemented run_plan.
+echo "==> one-plan-entry gate (no CampaignLog::open / LockSidecar::for_results_file / .run_points outside scenario.rs, campaign.rs, sidecar.rs)"
+if grep -rnE 'CampaignLog::open|LockSidecar::for_results_file|\.run_points' crates/sim/src crates/core/src \
+  | grep -vE '^crates/sim/src/(scenario|campaign|sidecar)\.rs:'; then
+  echo "one-plan-entry gate: lower the measurement onto scenario::run_plan / PlanRun"
+  echo "instead of opening the log, the sidecar or the runner by hand"
+  exit 1
+fi
+
 # The crate has one HTTP surface: the campaign service's router, with
 # one accept loop, whose per-job views serve the running job's live
 # observer. This gate keeps it that way: a second accept loop or a

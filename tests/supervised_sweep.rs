@@ -47,7 +47,7 @@ fn injected_panic_is_contained_at_every_thread_count() {
                 .supervised(SupervisorPolicy::default())
                 .scheduler(sched(threads));
             let swept = run_plan(&plan, &tones, NullCodec::<f64>::new(), "panic-test", {
-                |pll, fm, _tel| {
+                |pll, _index, fm, _tel| {
                     if fm == 8.0 {
                         panic!("seeded panic at {fm} Hz");
                     }
@@ -204,7 +204,7 @@ fn supervised_sweep_always_completes_with_random_fault_placement() {
                     .supervised(policy.clone())
                     .scheduler(sched(threads));
                 let swept =
-                    run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-nan", |pll, _fm, _| {
+                    run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-nan", |pll, _, _fm, _| {
                         let t = pll.time();
                         pll.advance_to(t + 0.02);
                         Ok(pll.control_voltage())
@@ -235,7 +235,7 @@ fn supervised_sweep_always_completes_with_random_fault_placement() {
                 .supervised(policy.clone())
                 .scheduler(sched(threads));
             let swept =
-                run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-fault", |pll, fm, _| {
+                run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-fault", |pll, _, fm, _| {
                     if fm == tones[sick] {
                         if as_panic {
                             panic!("seeded panic");
