@@ -37,7 +37,7 @@ use crate::config::{DriveConfig, PllConfig};
 use crate::engine::{AnalogAccess, PllEngine, WorkStats};
 use crate::event_driven::OutOfClass;
 use crate::noise::{NoiseConfig, NoiseSource};
-use crate::stimulus::FmStimulus;
+use crate::stimulus::{FmStimulus, PhasePoint};
 use pllbist_analog::filter::LoopFilter;
 use pllbist_analog::pfd::{BehavioralPfd, PfdOutput};
 use pllbist_analog::pump::{ChargePump, PumpOutput, VoltageDriver};
@@ -341,6 +341,12 @@ pub struct LoopShell<I: Integrator> {
     /// No committed segment exceeds this, even when no event bounds it
     /// (see [`Integrator::SEGMENT_CAP_PERIODS`]).
     max_segment_dt: f64,
+    /// The stimulus evaluated at the pending reference edge's ideal time,
+    /// left by the solve that found it: the next solve starts from it
+    /// instead of re-evaluating. Derived state, a pure function of
+    /// (stimulus, time), so it stays out of [`LoopState`] and is dropped
+    /// whenever the stimulus or the state is replaced.
+    ref_cursor: Option<PhasePoint>,
     collect_events: bool,
     events: Vec<LoopEvent>,
     sampler: Option<Sampler>,
@@ -386,6 +392,7 @@ impl<I: Integrator> LoopShell<I> {
                 stats: WorkStats::default(),
             },
             max_segment_dt: I::SEGMENT_CAP_PERIODS / config.f_ref_hz,
+            ref_cursor: None,
             collect_events: false,
             events: Vec::new(),
             sampler: None,
@@ -468,6 +475,7 @@ impl<I: Integrator> LoopShell<I> {
         let current = self.reference_phase_cycles();
         self.st.stimulus = stimulus;
         self.st.stim_phase_base = current - self.st.stimulus.phase_cycles(self.st.t);
+        self.ref_cursor = None;
         self.schedule_next_ref_edge(self.st.t);
     }
 
@@ -481,8 +489,17 @@ impl<I: Integrator> LoopShell<I> {
     /// ideal (noiseless) grid; source jitter displaces each edge's
     /// emission time by a clamped Gaussian so edges never duplicate,
     /// vanish or reorder.
+    ///
+    /// Each edge is the stimulus's exact phase inverse, started from the
+    /// previous edge's evaluation when that edge is `ideal_after`
+    /// bit for bit (the cursor); otherwise from a fresh evaluation, which
+    /// gives the same bits.
     fn schedule_next_ref_edge(&mut self, ideal_after: f64) {
-        let phase_now = self.st.stim_phase_base + self.st.stimulus.phase_cycles(ideal_after);
+        let here = match self.ref_cursor {
+            Some(c) if c.t.to_bits() == ideal_after.to_bits() => c,
+            _ => self.st.stimulus.eval(ideal_after),
+        };
+        let phase_now = self.st.stim_phase_base + here.phase;
         let mut target = phase_now.floor() + 1.0;
         // Guard: a phase that lands numerically on (or a hair below) an
         // integer must yield the *following* edge — otherwise the solver
@@ -491,10 +508,12 @@ impl<I: Integrator> LoopShell<I> {
         if target - phase_now < 1e-9 {
             target += 1.0;
         }
-        let mut ideal = self
+        let edge = self
             .st
             .stimulus
-            .time_at_phase(target - self.st.stim_phase_base, ideal_after);
+            .solve_phase(target - self.st.stim_phase_base, here);
+        self.ref_cursor = Some(edge);
+        let mut ideal = edge.t;
         if ideal <= ideal_after {
             // Degenerate rounding fallback: force forward progress by at
             // least one representable step even at large absolute times.
@@ -793,6 +812,7 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
     /// collection) is reset to off/empty.
     fn restore(&mut self, snapshot: &Self::Checkpoint) {
         self.st.clone_from(snapshot);
+        self.ref_cursor = None;
         self.collect_events = false;
         self.events = Vec::new();
         self.sampler = None;
@@ -1098,6 +1118,38 @@ mod tests {
                     assert_eq!(a.work_stats(), b.work_stats());
                     assert_eq!(a.fb_edge_count(), b.fb_edge_count());
                     assert_eq!(a.pfd_glitch_count(), b.pfd_glitch_count());
+                }
+
+                #[test]
+                fn restored_schedule_matches_the_carried_cursor() {
+                    // The reference-edge cursor is not checkpointed: a
+                    // restored loop re-evaluates the stimulus at the
+                    // pending edge, which must give the bits the
+                    // uninterrupted loop's carried cursor gives.
+                    let cfg = PllConfig::paper_table3();
+                    for stimulus in [
+                        FmStimulus::pure_sine(1_000.0, 10.0, 8.0),
+                        FmStimulus::phase_modulated(1_000.0, 0.2, 8.0),
+                        FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10),
+                    ] {
+                        let mut a = Engine::new_locked(&cfg);
+                        a.advance_to(0.1);
+                        a.set_stimulus(stimulus);
+                        a.advance_to(0.3037);
+                        let token = Engine::encode_checkpoint(&a.checkpoint())
+                            .expect("noiseless state encodes");
+                        let mut b = Engine::new_locked(&cfg);
+                        b.restore(&Engine::decode_checkpoint(&token).expect("token decodes"));
+                        a.collect_events(true);
+                        b.collect_events(true);
+                        a.advance_to(0.9);
+                        b.advance_to(0.9);
+                        assert_eq!(a.take_events(), b.take_events());
+                        assert_eq!(
+                            Engine::encode_checkpoint(&a.checkpoint()),
+                            Engine::encode_checkpoint(&b.checkpoint())
+                        );
+                    }
                 }
 
                 #[test]
