@@ -1,8 +1,10 @@
 //! **bench_ledger_gate** — the bench regression ledger's CI gate.
 //!
-//! Reads the ledger (`results/bench_ledger.jsonl` by default, or
-//! `--ledger <path>` / `PLLBIST_LEDGER`), pairs each bin's **latest
-//! baseline row** with its **latest fresh row**, and compares every
+//! Reads the ledger (`--ledger <path>` / `PLLBIST_LEDGER`, or by default
+//! the committed baseline `results/bench_ledger.jsonl` together with the
+//! fresh rows bins append to `target/bench_ledger.jsonl`), pairs each
+//! bin's **latest baseline row** with its **latest fresh row**, and
+//! compares every
 //! shared metric under the suffix-convention gate policy
 //! (`pllbist_telemetry::ledger`):
 //!
@@ -18,8 +20,9 @@
 //!   wholesale.
 //!
 //! Exits non-zero when any metric regresses. `--promote` instead
-//! rewrites the ledger to the latest row per bin, marked as the new
-//! baseline — how `results/bench_ledger.jsonl` is (re)seeded.
+//! rewrites the ledger (by default the committed baseline) to the latest
+//! row per bin, marked as the new baseline — how
+//! `results/bench_ledger.jsonl` is (re)seeded.
 //!
 //! Knobs: `PLLBIST_LEDGER_TOL_PCT` (relative tolerance, default 35),
 //! `PLLBIST_LEDGER_SLACK_PCT_POINTS` (overhead slack, default 5),
@@ -27,7 +30,7 @@
 
 use pllbist_telemetry::ledger::{
     append_record, compare_records, parse_ledger, GatePolicy, LedgerRecord, Verdict,
-    DEFAULT_LEDGER_PATH, LEDGER_ENV,
+    BASELINE_LEDGER_PATH, DEFAULT_LEDGER_PATH, LEDGER_ENV,
 };
 use std::path::PathBuf;
 
@@ -38,21 +41,27 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-fn ledger_path() -> PathBuf {
+/// The ledger files to read, the first being the one `--promote`
+/// rewrites: an explicit ledger, else the committed baseline plus the
+/// default append file.
+fn ledger_paths() -> Vec<PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--ledger" {
             if let Some(path) = args.next() {
-                return PathBuf::from(path);
+                return vec![PathBuf::from(path)];
             }
         }
         if let Some(path) = arg.strip_prefix("--ledger=") {
-            return PathBuf::from(path);
+            return vec![PathBuf::from(path)];
         }
     }
     match std::env::var(LEDGER_ENV) {
-        Ok(path) if !path.is_empty() => PathBuf::from(path),
-        _ => PathBuf::from(DEFAULT_LEDGER_PATH),
+        Ok(path) if !path.is_empty() => vec![PathBuf::from(path)],
+        _ => vec![
+            PathBuf::from(BASELINE_LEDGER_PATH),
+            PathBuf::from(DEFAULT_LEDGER_PATH),
+        ],
     }
 }
 
@@ -73,16 +82,22 @@ fn latest_per_bin(rows: &[LedgerRecord], baseline: bool) -> Vec<LedgerRecord> {
 }
 
 fn main() {
-    let path = ledger_path();
+    let paths = ledger_paths();
+    let path = &paths[0];
     let promote = std::env::args().skip(1).any(|a| a == "--promote");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
+    let mut rows = match std::fs::read_to_string(path) {
+        Ok(text) => parse_ledger(&text),
         Err(err) => {
             eprintln!("bench_ledger_gate: cannot read {}: {err}", path.display());
             std::process::exit(2);
         }
     };
-    let rows = parse_ledger(&text);
+    // The default append file is absent until a bin has run.
+    for extra in &paths[1..] {
+        if let Ok(text) = std::fs::read_to_string(extra) {
+            rows.extend(parse_ledger(&text));
+        }
+    }
     if rows.is_empty() {
         eprintln!("bench_ledger_gate: no ledger rows in {}", path.display());
         std::process::exit(2);
@@ -97,10 +112,10 @@ fn main() {
                 promoted.push(stale);
             }
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path);
         for row in &mut promoted {
             row.baseline = true;
-            append_record(&path, row).expect("rewrite ledger");
+            append_record(path, row).expect("rewrite ledger");
         }
         println!(
             "bench_ledger_gate: promoted {} bin(s) to baseline in {}",

@@ -6,27 +6,38 @@
 //!
 //! ```json
 //! {"type":"ledger","schema":1,"bin":"abl13_campaign_observatory",
+//!  "rev":"0123456789ab","cores":2,"unix_ts":1760000000,
 //!  "baseline":false,"metrics":{"observatory.overhead_pct":1.4,...}}
 //! ```
 //!
-//! `metrics` flattens every numeric field of the run's `result` records
-//! as `<result_name>.<field>`. `baseline:true` rows are the committed
-//! reference (see `results/bench_ledger.jsonl`); [`RunReport::finish`]
-//! appends `baseline:false` rows for every `--jsonl` run.
+//! `rev` (the git revision measured, `unknown` outside a work tree),
+//! `cores` (available parallelism) and `unix_ts` say which code ran
+//! where and when, so the ledger reads as a trajectory; rows written
+//! before they existed omit them. `metrics` flattens every numeric field
+//! of the run's `result` records as `<result_name>.<field>`.
+//! `baseline:true` rows are the committed reference
+//! ([`BASELINE_LEDGER_PATH`]); [`RunReport::finish`] appends
+//! `baseline:false` rows for every `--jsonl` run, by default under
+//! `target/` ([`DEFAULT_LEDGER_PATH`]) so a bin run never edits the
+//! committed file.
 //!
 //! [`RunReport::finish`]: crate::RunReport::finish
 
 use std::io::Write as _;
 use std::path::Path;
 
-use crate::json::{json_bool_field, json_str_field};
+use crate::json::{json_bool_field, json_str_field, json_u64_field};
 use crate::record::{Record, Value};
 
 /// Ledger record schema version.
 pub const LEDGER_SCHEMA: u32 = 1;
 
-/// Default ledger path, relative to the repo root.
-pub const DEFAULT_LEDGER_PATH: &str = "results/bench_ledger.jsonl";
+/// The committed baseline ledger, relative to the repo root.
+pub const BASELINE_LEDGER_PATH: &str = "results/bench_ledger.jsonl";
+
+/// Where `--jsonl` runs append fresh rows when [`LEDGER_ENV`] is unset,
+/// relative to the repo root.
+pub const DEFAULT_LEDGER_PATH: &str = "target/bench_ledger.jsonl";
 
 /// Environment variable overriding the ledger path. An empty value
 /// disables ledger appends entirely.
@@ -36,6 +47,12 @@ pub const LEDGER_ENV: &str = "PLLBIST_LEDGER";
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerRecord {
     pub bin: String,
+    /// The git revision the row measured (`unknown` outside a work tree).
+    pub rev: Option<String>,
+    /// Available parallelism of the host that ran it.
+    pub cores: Option<u64>,
+    /// When it ran, in seconds since the Unix epoch.
+    pub unix_ts: Option<u64>,
     /// Committed reference rows are `true`; fresh runs append `false`.
     pub baseline: bool,
     /// `(metric_key, value)` in emission order; keys are
@@ -44,6 +61,23 @@ pub struct LedgerRecord {
 }
 
 impl LedgerRecord {
+    /// A fresh (non-baseline) row for `bin`, stamped with this checkout's
+    /// revision, this host's core count and the current time.
+    pub fn fresh(bin: &str, metrics: Vec<(String, f64)>) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+        let unix_ts = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        Self {
+            bin: bin.to_string(),
+            rev: Some(git_rev()),
+            cores: Some(cores),
+            unix_ts: Some(unix_ts),
+            baseline: false,
+            metrics,
+        }
+    }
+
     /// Serialises as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96 + 32 * self.metrics.len());
@@ -51,6 +85,16 @@ impl LedgerRecord {
         s.push_str(&LEDGER_SCHEMA.to_string());
         s.push_str(",\"bin\":");
         crate::record::write_json_str(&mut s, &self.bin);
+        if let Some(rev) = &self.rev {
+            s.push_str(",\"rev\":");
+            crate::record::write_json_str(&mut s, rev);
+        }
+        if let Some(cores) = self.cores {
+            s.push_str(&format!(",\"cores\":{cores}"));
+        }
+        if let Some(ts) = self.unix_ts {
+            s.push_str(&format!(",\"unix_ts\":{ts}"));
+        }
         s.push_str(",\"baseline\":");
         s.push_str(if self.baseline { "true" } else { "false" });
         s.push_str(",\"metrics\":{");
@@ -74,8 +118,12 @@ impl LedgerRecord {
         let bin = json_str_field(line, "bin")?;
         let baseline = json_bool_field(line, "baseline")?;
         // The metrics object is the last key; keys are plain identifiers
-        // (result/field names) so a non-escaping scan is sufficient.
-        let body_at = line.find("\"metrics\":{")? + "\"metrics\":{".len();
+        // (result/field names) so a non-escaping scan is sufficient. The
+        // row's own fields are looked up only ahead of it, where no
+        // metric key can shadow them.
+        let metrics_at = line.find("\"metrics\":{")?;
+        let head = &line[..metrics_at];
+        let body_at = metrics_at + "\"metrics\":{".len();
         let body = &line[body_at..];
         let body = &body[..body.rfind('}')?];
         let body = body.strip_suffix('}').unwrap_or(body);
@@ -97,6 +145,9 @@ impl LedgerRecord {
         }
         Some(Self {
             bin,
+            rev: json_str_field(head, "rev"),
+            cores: json_u64_field(head, "cores"),
+            unix_ts: json_u64_field(head, "unix_ts"),
             baseline,
             metrics,
         })
@@ -166,10 +217,25 @@ pub fn parse_ledger(text: &str) -> Vec<LedgerRecord> {
     text.lines().filter_map(LedgerRecord::parse).collect()
 }
 
+/// The revision of the git work tree in the current directory, or
+/// `unknown`.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Resolves the ledger path for a run: [`LEDGER_ENV`] wins (empty =
 /// disabled), otherwise [`DEFAULT_LEDGER_PATH`] when its parent
 /// directory exists in the current working directory (i.e. the run was
-/// launched from the repo root).
+/// launched from a built repo root). Never the committed baseline.
 pub fn default_ledger_path() -> Option<std::path::PathBuf> {
     match std::env::var(LEDGER_ENV) {
         Ok(path) if path.is_empty() => None,
@@ -253,19 +319,21 @@ pub enum Verdict {
 }
 
 /// Compares one bin's current record against its baseline. When both
-/// records carry a `*.cores` metric and they disagree, every comparison
-/// is skipped — speedup baselines from a many-core machine are not
-/// meaningful on a laptop.
+/// records carry a core count (the row's `cores`, else a `*.cores`
+/// metric) and they disagree, every comparison is skipped — speedup
+/// baselines from a many-core machine are not meaningful on a laptop.
 pub fn compare_records(
     baseline: &LedgerRecord,
     current: &LedgerRecord,
     policy: &GatePolicy,
 ) -> Vec<Comparison> {
     let cores_of = |r: &LedgerRecord| {
-        r.metrics
-            .iter()
-            .find(|(k, _)| k.ends_with(".cores") || k == "cores")
-            .map(|(_, v)| *v)
+        r.cores.map(|c| c as f64).or_else(|| {
+            r.metrics
+                .iter()
+                .find(|(k, _)| k.ends_with(".cores") || k == "cores")
+                .map(|(_, v)| *v)
+        })
     };
     let cores_mismatch = match (cores_of(baseline), cores_of(current)) {
         (Some(a), Some(b)) => a != b,
@@ -342,6 +410,9 @@ mod tests {
     fn record_round_trips() {
         let rec = LedgerRecord {
             bin: "abl13_campaign_observatory".into(),
+            rev: Some("0123456789ab".into()),
+            cores: Some(2),
+            unix_ts: Some(1_760_000_000),
             baseline: true,
             metrics: vec![
                 ("observatory.overhead_pct".into(), 1.25),
@@ -359,10 +430,37 @@ mod tests {
     fn empty_metrics_round_trip() {
         let rec = LedgerRecord {
             bin: "x".into(),
+            rev: None,
+            cores: None,
+            unix_ts: None,
             baseline: false,
             metrics: vec![],
         };
         assert_eq!(LedgerRecord::parse(&rec.to_json()), Some(rec));
+    }
+
+    #[test]
+    fn rows_without_provenance_still_parse() {
+        // Rows written before `rev`/`cores`/`unix_ts` existed; a metric
+        // named like a row field must not be read as one.
+        let line = "{\"type\":\"ledger\",\"schema\":1,\"bin\":\"b\",\"baseline\":true,\
+                    \"metrics\":{\"s.cores\":1,\"cores\":4}}";
+        let row = LedgerRecord::parse(line).unwrap();
+        assert_eq!(
+            (row.rev.as_deref(), row.cores, row.unix_ts),
+            (None, None, None)
+        );
+        assert_eq!(row.metric("cores"), Some(4.0));
+    }
+
+    #[test]
+    fn fresh_rows_are_stamped_and_never_baselines() {
+        let row = LedgerRecord::fresh("b", vec![("r.ratio".into(), 1.0)]);
+        assert!(!row.baseline);
+        assert!(row.rev.as_deref().is_some_and(|r| !r.is_empty()));
+        assert!(row.cores.is_some_and(|c| c >= 1));
+        assert!(row.unix_ts.is_some_and(|ts| ts > 1_600_000_000));
+        assert_ne!(DEFAULT_LEDGER_PATH, BASELINE_LEDGER_PATH);
     }
 
     #[test]
@@ -401,6 +499,9 @@ mod tests {
     fn gate_flags_real_regressions_only() {
         let base = LedgerRecord {
             bin: "b".into(),
+            rev: None,
+            cores: None,
+            unix_ts: None,
             baseline: true,
             metrics: vec![
                 ("s.speedup".into(), 3.0),
@@ -455,6 +556,9 @@ mod tests {
     fn core_count_mismatch_skips_bin() {
         let base = LedgerRecord {
             bin: "b".into(),
+            rev: None,
+            cores: None,
+            unix_ts: None,
             baseline: true,
             metrics: vec![("s.speedup".into(), 3.0), ("s.cores".into(), 16.0)],
         };
@@ -463,6 +567,12 @@ mod tests {
         cur.metrics[1].1 = 2.0;
         let cmp = compare_records(&base, &cur, &GatePolicy::default());
         assert!(cmp.iter().all(|c| c.verdict == Verdict::Skipped));
+        // The rows' own core counts win over the metric.
+        let (mut base, mut cur) = (base, cur);
+        base.cores = Some(2);
+        cur.cores = Some(2);
+        let cmp = compare_records(&base, &cur, &GatePolicy::default());
+        assert!(cmp.iter().any(|c| c.verdict == Verdict::Regressed));
     }
 
     #[test]
@@ -475,9 +585,8 @@ mod tests {
             append_record(
                 &path,
                 &LedgerRecord {
-                    bin: "demo".into(),
                     baseline,
-                    metrics: vec![("r.ratio".into(), 1.0)],
+                    ..LedgerRecord::fresh("demo", vec![("r.ratio".into(), 1.0)])
                 },
             )
             .unwrap();

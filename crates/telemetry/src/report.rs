@@ -116,11 +116,7 @@ impl RunReport {
             if !metrics.is_empty() {
                 crate::ledger::append_record(
                     ledger,
-                    &crate::ledger::LedgerRecord {
-                        bin: self.bin.to_string(),
-                        baseline: false,
-                        metrics,
-                    },
+                    &crate::ledger::LedgerRecord::fresh(self.bin, metrics),
                 )?;
             }
         }
