@@ -15,6 +15,15 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The frozen benchmark package is a workspace of its own, so the
+# workspace test run above does not build it; its replay imports
+# pllbist_sim items (FmStimulus among them), and a signature change
+# there must fail here rather than in the benchmark run. Its build goes
+# to the workspace target directory, not into the package.
+echo "==> frozen benchmark package tests (offline)"
+CARGO_TARGET_DIR=target cargo test -q --offline \
+  --manifest-path crates/bench/src/bin/pllbist_benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -54,6 +63,28 @@ for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'fn solve_crossing' 
     exit 1
   fi
 done
+
+# Every engine places reference edges by the stimulus's exact phase
+# inverse (FmStimulus::solve_phase). The bracket-safeguarded Newton it
+# replaced survives only as the test reference in stimulus.rs. This gate
+# keeps it there: the reference solver, or its bracket-widening loop,
+# outside the #[cfg(test)] module means a production path went back to
+# the bracketed search.
+echo "==> exact-edge-inverse gate (the bracketed reference solver only under #[cfg(test)])"
+stim=crates/sim/src/stimulus.rs
+test_from=$(grep -n -A1 '^#\[cfg(test)\]' "$stim" | grep -E '^[0-9]+-mod tests' | head -1 | cut -d- -f1)
+if [ -z "$test_from" ]; then
+  echo "exact-edge-inverse gate: no #[cfg(test)] mod tests in $stim"
+  exit 1
+fi
+if grep -nE 'reference_time_at_phase|hi \+= 0\.1 /' "$stim" | awk -F: -v from="$test_from" '$1 < from' | grep .; then
+  echo "exact-edge-inverse gate: the bracketed reference solver appears outside $stim's test module"
+  exit 1
+fi
+if grep -rnE 'reference_time_at_phase|hi \+= 0\.1 /' crates/*/src src | grep -v "^$stim:"; then
+  echo "exact-edge-inverse gate: the bracketed reference solver appears outside $stim"
+  exit 1
+fi
 
 # Every sweep, the Table 2 monitor included, runs on the one campaign
 # runner (Scenario::run_points) over the one work-stealing executor in
