@@ -34,8 +34,9 @@ pub enum InputKind {
 
 /// A loop filter that can be stepped exactly over constant-drive segments.
 ///
-/// Implementations keep their electrical state in a caller-owned `Vec<f64>`
-/// so one filter definition can serve many concurrent simulations.
+/// Implementations keep their electrical state in a caller-owned slice
+/// (built by [`LoopFilter::initial_state`]) so one filter definition can
+/// serve many concurrent simulations, and stepping never allocates.
 pub trait LoopFilter: Send {
     /// The drive kind this filter accepts.
     fn input_kind(&self) -> InputKind;
@@ -54,7 +55,7 @@ pub trait LoopFilter: Send {
     ///
     /// Panics if the drive kind does not match [`LoopFilter::input_kind`]
     /// or `dt` is not positive and finite.
-    fn step(&mut self, state: &mut Vec<f64>, input: PumpOutput, dt: f64);
+    fn step(&mut self, state: &mut [f64], input: PumpOutput, dt: f64);
 
     /// The control voltage for the given state and present drive.
     fn output(&self, state: &[f64], input: PumpOutput) -> f64;
@@ -297,7 +298,7 @@ impl LoopFilter for PassiveLag {
         state[0] = v / self.high_z.cv;
     }
 
-    fn step(&mut self, state: &mut Vec<f64>, input: PumpOutput, dt: f64) {
+    fn step(&mut self, state: &mut [f64], input: PumpOutput, dt: f64) {
         assert_dt(dt);
         let (k, u) = self.coeffs(input);
         state[0] = affine_step(state[0], k.a, k.b, u, dt);
@@ -472,7 +473,7 @@ impl LoopFilter for SeriesRc {
         }
     }
 
-    fn step(&mut self, state: &mut Vec<f64>, input: PumpOutput, dt: f64) {
+    fn step(&mut self, state: &mut [f64], input: PumpOutput, dt: f64) {
         assert_dt(dt);
         let i = Self::current(input);
         match &mut self.zoh {
@@ -591,7 +592,7 @@ impl LoopFilter for ActivePi {
         state[0] = v;
     }
 
-    fn step(&mut self, state: &mut Vec<f64>, input: PumpOutput, dt: f64) {
+    fn step(&mut self, state: &mut [f64], input: PumpOutput, dt: f64) {
         assert_dt(dt);
         let u = Self::voltage(input);
         state[0] += u / self.tau1 * dt; // ideal integrator: exact

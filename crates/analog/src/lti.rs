@@ -15,6 +15,8 @@ pub struct CachedZoh {
     /// Small move-to-front cache keyed on the exact bit pattern of `dt`.
     cache: Vec<(u64, DiscreteStateSpace)>,
     capacity: usize,
+    /// The pre-step state, reused so a step does not allocate.
+    scratch: Vec<f64>,
     hits: u64,
     misses: u64,
 }
@@ -39,6 +41,7 @@ impl CachedZoh {
             system,
             cache: Vec::with_capacity(capacity),
             capacity,
+            scratch: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -62,23 +65,28 @@ impl CachedZoh {
     ///
     /// Panics if `dt` is not positive and finite (zero-length segments
     /// should be skipped by the caller).
-    pub fn step(&mut self, state: &mut Vec<f64>, u: f64, dt: f64) {
+    pub fn step(&mut self, state: &mut [f64], u: f64, dt: f64) {
         let key = dt.to_bits();
-        if let Some(pos) = self.cache.iter().position(|(k, _)| *k == key) {
-            self.hits += 1;
-            // Move to front so hot durations stay cheap to find.
-            let entry = self.cache.remove(pos);
-            *state = entry.1.step(state, u);
-            self.cache.insert(0, entry);
-        } else {
-            self.misses += 1;
-            let disc = self.system.discretize(dt);
-            *state = disc.step(state, u);
-            if self.cache.len() == self.capacity {
-                self.cache.pop();
+        let pos = match self.cache.iter().position(|(k, _)| *k == key) {
+            Some(pos) => {
+                self.hits += 1;
+                pos
             }
-            self.cache.insert(0, (key, disc));
-        }
+            None => {
+                self.misses += 1;
+                let disc = self.system.discretize(dt);
+                if self.cache.len() == self.capacity {
+                    self.cache.pop();
+                }
+                self.cache.push((key, disc));
+                self.cache.len() - 1
+            }
+        };
+        // Move to front so hot durations stay cheap to find.
+        self.cache[..=pos].rotate_right(1);
+        self.scratch.clear();
+        self.scratch.extend_from_slice(state);
+        self.cache[0].1.step_into(&self.scratch, u, state);
     }
 
     /// Output `y = C·x + D·u`.

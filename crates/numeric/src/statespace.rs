@@ -245,19 +245,29 @@ impl DiscreteStateSpace {
 
     /// Advances one step: `x⁺ = Ad·x + Bd·u` with `u` held constant over the
     /// step.
-    #[allow(clippy::needless_range_loop)] // index form mirrors the matrix algebra
     pub fn step(&self, x: &[f64], u: f64) -> Vec<f64> {
+        let mut nx = vec![0.0; self.ad.rows()];
+        self.step_into(x, u, &mut nx);
+        nx
+    }
+
+    /// [`step`](Self::step) into a caller-owned buffer (no allocation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` is not of the model's order.
+    #[allow(clippy::needless_range_loop)] // index form mirrors the matrix algebra
+    pub fn step_into(&self, x: &[f64], u: f64, out: &mut [f64]) {
         let n = self.ad.rows();
         assert_eq!(x.len(), n, "state dimension mismatch");
-        let mut nx = vec![0.0; n];
+        assert_eq!(out.len(), n, "state dimension mismatch");
         for i in 0..n {
             let mut s = self.bd[(i, 0)] * u;
             for j in 0..n {
                 s += self.ad[(i, j)] * x[j];
             }
-            nx[i] = s;
+            out[i] = s;
         }
-        nx
     }
 
     /// Output `y = C·x + D·u`.
