@@ -66,23 +66,26 @@ done
 
 # Every engine places reference edges by the stimulus's exact phase
 # inverse (FmStimulus::solve_phase). The bracket-safeguarded Newton it
-# replaced survives only as the test reference in stimulus.rs. This gate
-# keeps it there: the reference solver, or its bracket-widening loop,
-# outside the #[cfg(test)] module means a production path went back to
-# the bracketed search.
-echo "==> exact-edge-inverse gate (the bracketed reference solver only under #[cfg(test)])"
+# replaced survives only as the test reference in stimulus.rs, and so
+# does the dwell walk the staircase phase was computed by before its
+# per-dwell table. This gate keeps both there: the reference solver, its
+# bracket-widening loop, the walked staircase formula or its reference
+# function outside the #[cfg(test)] module means a production path went
+# back to the bracketed search or the O(n) walk.
+echo "==> exact-edge-inverse gate (the bracketed solver and the dwell walk only under #[cfg(test)])"
+walked='reference_time_at_phase|hi \+= 0\.1 /|walked_staircase_phase|rem\.min\(dwell\)'
 stim=crates/sim/src/stimulus.rs
 test_from=$(grep -n -A1 '^#\[cfg(test)\]' "$stim" | grep -E '^[0-9]+-mod tests' | head -1 | cut -d- -f1)
 if [ -z "$test_from" ]; then
   echo "exact-edge-inverse gate: no #[cfg(test)] mod tests in $stim"
   exit 1
 fi
-if grep -nE 'reference_time_at_phase|hi \+= 0\.1 /' "$stim" | awk -F: -v from="$test_from" '$1 < from' | grep .; then
-  echo "exact-edge-inverse gate: the bracketed reference solver appears outside $stim's test module"
+if grep -nE "$walked" "$stim" | awk -F: -v from="$test_from" '$1 < from' | grep .; then
+  echo "exact-edge-inverse gate: a reference formula appears outside $stim's test module"
   exit 1
 fi
-if grep -rnE 'reference_time_at_phase|hi \+= 0\.1 /' crates/*/src src | grep -v "^$stim:"; then
-  echo "exact-edge-inverse gate: the bracketed reference solver appears outside $stim"
+if grep -rnE "$walked" crates/*/src src | grep -v "^$stim:"; then
+  echo "exact-edge-inverse gate: a reference formula appears outside $stim"
   exit 1
 fi
 
