@@ -78,7 +78,7 @@ impl FilterState {
 
     /// The state of a filter built from a config: every stock filter
     /// fits.
-    fn of(values: &[f64]) -> Self {
+    pub(crate) fn of(values: &[f64]) -> Self {
         Self::from_slice(values).unwrap_or_else(|| {
             panic!(
                 "a {}-state loop filter does not fit inline (at most {})",

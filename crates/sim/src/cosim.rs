@@ -3,44 +3,41 @@
 //! The digital half of the testbench — reference source (clock or DCO),
 //! dividers, the loop PFD, and whatever BIST circuitry the caller wires in
 //! — runs in the `pllbist-digital` event kernel with real propagation
-//! delays. The analogue half (drive stage, loop filter, VCO) integrates
-//! exactly between the kernel's event times. The two meet at:
+//! delays. The analogue half (drive stage, loop filter, VCO) steps the
+//! filter state exactly and the VCO phase by the trapezoid between the
+//! kernel's event times, over segments of at most an eighth of a VCO
+//! period. The two meet at:
 //!
-//! * the **VCO output net**, poked by the analogue side each half period
-//!   (edge times located by root finding on the phase accumulator), and
+//! * the **VCO output net**, poked by the analogue side each half period,
+//!   at the toggle time `loop_shell::solve_crossing` finds on
+//!   the phase accumulator — the root finder every engine's output edges
+//!   come from;
 //! * the **PFD UP/DN nets**, sampled by the analogue side at every
-//!   boundary to set the pump drive for the next segment.
+//!   boundary to pick the pump drive for the next segment from a
+//!   four-entry table (Up, Down and Off as the behavioural loop drives
+//!   them, plus the reset glitch's both-active contention); and, on the
+//!   engine-driven build,
+//! * the **reference net**, poked at each half-integer of the stimulus
+//!   phase; the next toggle time is solved once per toggle and on a
+//!   stimulus switch, by the stimulus's exact inverse.
 //!
 //! Because gate delays are honoured, the PFD reset glitches, the fig. 7
 //! dead-zone-clocked sampling flip-flop and the mux-based hold circuit all
-//! behave as they would in silicon.
+//! behave as they would in silicon. Work is counted in
+//! [`WorkStats`]: every VCO toggle is one rejected, shortened segment.
 
-use crate::behavioral::LoopEvent;
-use crate::config::{DriveConfig, PllConfig};
+use crate::behavioral::{FilterState, LoopEvent};
+use crate::config::PllConfig;
 use crate::engine::{PllEngine, WorkStats};
-use crate::stimulus::FmStimulus;
+use crate::loop_shell::{drive_of, solve_crossing, Segment};
+use crate::stimulus::{FmStimulus, PhasePoint};
 use pllbist_analog::filter::LoopFilter;
-use pllbist_analog::pump::{ChargePump, PumpOutput, VoltageDriver};
+use pllbist_analog::pfd::PfdOutput;
+use pllbist_analog::pump::PumpOutput;
 use pllbist_analog::vco::Vco;
 use pllbist_digital::kernel::{Circuit, NetId};
 use pllbist_digital::logic::Logic;
 use pllbist_digital::time::SimTime;
-
-/// Cumulative co-simulation work counters (same philosophy as
-/// [`crate::engine::WorkStats`]: plain `u64`s, polled by telemetry
-/// at stage boundaries, never synchronised in the hot loop).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CosimStats {
-    /// Committed analogue integration segments.
-    pub steps: u64,
-    /// Trial segments shortened by a VCO output toggle inside them.
-    pub step_rejections: u64,
-    /// VCO output-net toggles poked into the digital kernel.
-    pub vco_toggles: u64,
-    /// Gate-level events dispatched by the digital kernel (see
-    /// [`Circuit::events_dispatched`]).
-    pub kernel_events: u64,
-}
 
 /// The nets through which the analogue loop meets the digital circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +77,9 @@ enum ReferenceSource {
         /// Next toggle target in cycles (multiples of 0.5; integer =
         /// rising).
         next_toggle_phase: f64,
+        /// The stimulus evaluated at the next toggle; it seeds the
+        /// following toggle's solve.
+        next_toggle: PhasePoint,
         level: bool,
     },
 }
@@ -104,33 +104,21 @@ pub fn build_gate_pfd(
     (up, dn)
 }
 
-enum DriveStage {
-    Voltage(VoltageDriver),
-    Charge(ChargePump),
-}
-
-impl DriveStage {
-    fn drive(&self, up: Logic, dn: Logic) -> PumpOutput {
-        match self {
-            DriveStage::Voltage(d) => match (up.is_high(), dn.is_high()) {
-                (true, false) => PumpOutput::Voltage(d.v_high()),
-                (false, true) => PumpOutput::Voltage(d.v_low()),
-                // Both active only inside the reset glitch: contention is
-                // modelled as no net drive. Both idle: tri-state.
-                _ => PumpOutput::HighZ,
-            },
-            DriveStage::Charge(p) => {
-                let mut i = 0.0;
-                if up.is_high() {
-                    i += p.i_up();
-                }
-                if dn.is_high() {
-                    i -= p.i_down();
-                }
-                PumpOutput::Current(i)
-            }
+/// The pump output for each pair of PFD net levels: Up, Down and Off
+/// as the behavioural loop drives them, then both active, which happens
+/// only inside the reset glitch. A charge pump then sources its
+/// mismatch current; a voltage driver's contention is modelled as no net
+/// drive.
+pub(crate) fn pump_table(config: &PllConfig) -> [PumpOutput; 4] {
+    let [up, down, off] =
+        [PfdOutput::Up, PfdOutput::Down, PfdOutput::Off].map(|s| drive_of(config, s));
+    let contention = match (up, down) {
+        (PumpOutput::Current(i_up), PumpOutput::Current(i_down)) => {
+            PumpOutput::Current(i_up + i_down)
         }
-    }
+        _ => PumpOutput::HighZ,
+    };
+    [up, down, off, contention]
 }
 
 /// A gate-level PLL co-simulation.
@@ -153,9 +141,10 @@ pub struct MixedSignalPll {
     circuit: Circuit,
     nets: LoopNets,
     filter: Box<dyn LoopFilter>,
-    filter_state: Vec<f64>,
+    filter_state: FilterState,
     vco: Vco,
-    drive_stage: DriveStage,
+    /// Pump outputs for the PFD net levels (see [`pump_table`]).
+    pumps: [PumpOutput; 4],
     source: ReferenceSource,
     t: f64,
     vco_phase_cycles: f64,
@@ -170,10 +159,9 @@ pub struct MixedSignalPll {
     /// Rising-edge counts already harvested into `events`.
     seen_ref_edges: u64,
     seen_fb_edges: u64,
-    steps: u64,
-    step_rejections: u64,
-    vco_toggles: u64,
-    hold_engagements: u64,
+    /// Analogue-side work counters; the edge and kernel counts are read
+    /// from the circuit on demand.
+    stats: WorkStats,
 }
 
 impl MixedSignalPll {
@@ -185,8 +173,8 @@ impl MixedSignalPll {
     /// `N·f_ref` control voltage).
     pub fn new(config: &PllConfig, circuit: Circuit, nets: LoopNets) -> Self {
         let filter = config.build_filter();
-        let mut filter_state = filter.initial_state();
         let vco = config.build_vco();
+        let mut filter_state = FilterState::of(&filter.initial_state());
         filter.preset_output(
             &mut filter_state,
             vco.control_for_frequency(config.f_vco_hz()),
@@ -199,12 +187,7 @@ impl MixedSignalPll {
             filter,
             filter_state,
             vco,
-            drive_stage: match config.drive {
-                DriveConfig::Voltage { vdd } => DriveStage::Voltage(VoltageDriver::new(vdd)),
-                DriveConfig::Charge { i_pump, mismatch } => {
-                    DriveStage::Charge(ChargePump::with_mismatch(i_pump, mismatch))
-                }
-            },
+            pumps: pump_table(config),
             source: ReferenceSource::External,
             t: 0.0,
             vco_phase_cycles: 0.0,
@@ -216,10 +199,7 @@ impl MixedSignalPll {
             events: Vec::new(),
             seen_ref_edges: 0,
             seen_fb_edges: 0,
-            steps: 0,
-            step_rejections: 0,
-            vco_toggles: 0,
-            hold_engagements: 0,
+            stats: WorkStats::default(),
         }
     }
 
@@ -274,10 +254,13 @@ impl MixedSignalPll {
                 fb,
             },
         );
+        let stimulus = FmStimulus::constant(config.f_ref_hz, 0.0);
+        let next_toggle = stimulus.solve_phase(1.0, stimulus.eval(0.0));
         pll.source = ReferenceSource::Stimulated {
-            stimulus: FmStimulus::constant(config.f_ref_hz, 0.0),
+            stimulus,
             stim_phase_base: 0.0,
             next_toggle_phase: 1.0,
+            next_toggle,
             level: false,
         };
         pll
@@ -302,16 +285,6 @@ impl MixedSignalPll {
     /// The seam nets.
     pub fn nets(&self) -> LoopNets {
         self.nets
-    }
-
-    /// Cumulative co-simulation work counters since construction.
-    pub fn stats(&self) -> CosimStats {
-        CosimStats {
-            steps: self.steps,
-            step_rejections: self.step_rejections,
-            vco_toggles: self.vco_toggles,
-            kernel_events: self.circuit.events_dispatched(),
-        }
     }
 
     /// Current simulation time in seconds.
@@ -339,30 +312,44 @@ impl MixedSignalPll {
             // The hold mux starves the drive stage: tri-state (voltage
             // drive) / zero current (charge pump), so the filter coasts on
             // its capacitor state.
-            return self.drive_stage.drive(Logic::Low, Logic::Low);
+            return self.pumps[2];
         }
-        self.drive_stage.drive(
-            self.circuit.value(self.nets.pfd_up),
-            self.circuit.value(self.nets.pfd_dn),
-        )
+        let up = self.circuit.value(self.nets.pfd_up).is_high();
+        let dn = self.circuit.value(self.nets.pfd_dn).is_high();
+        self.pumps[match (up, dn) {
+            (true, false) => 0,
+            (false, true) => 1,
+            (false, false) => 2,
+            (true, true) => 3,
+        }]
     }
 
-    fn trial(&mut self, u: PumpOutput, dt: f64) -> (f64, Vec<f64>) {
-        let v0 = self.filter.output(&self.filter_state, u);
-        let mut state = self.filter_state.clone();
-        self.filter.step(&mut state, u, dt);
-        let v1 = self.filter.output(&state, u);
-        let f0 = self.vco.frequency_hz(v0);
-        let f1 = self.vco.frequency_hz(v1);
-        (0.5 * (f0 + f1) * dt, state)
+    /// The VCO frequency at filter state `x` under drive `u`.
+    pub(crate) fn frequency(&self, x: &FilterState, u: PumpOutput) -> f64 {
+        self.vco.frequency_hz(self.filter.output(x, u))
     }
 
-    fn commit(&mut self, u: PumpOutput, dt: f64) {
-        let (dphase, state) = self.trial(u, dt);
-        self.filter_state = state;
-        self.vco_phase_cycles += dphase;
-        self.t += dt;
-        self.steps += 1;
+    /// The segment of length `dt` from filter state `x` under drive `u`
+    /// (phase by the trapezoid), with the VCO frequency at its end.
+    pub(crate) fn trial(
+        &mut self,
+        x: &FilterState,
+        u: PumpOutput,
+        dt: f64,
+    ) -> (Segment<FilterState>, f64) {
+        let mut end = *x;
+        self.filter.step(&mut end, u, dt);
+        let f0 = self.frequency(x, u);
+        let f1 = self.frequency(&end, u);
+        let dphase = 0.5 * (f0 + f1) * dt;
+        (Segment { dt, dphase, end }, f1)
+    }
+
+    fn commit(&mut self, seg: Segment<FilterState>) {
+        self.filter_state = seg.end;
+        self.vco_phase_cycles += seg.dphase;
+        self.t += seg.dt;
+        self.stats.steps += 1;
     }
 
     /// Advances both domains to absolute time `t_end` (seconds).
@@ -402,21 +389,28 @@ impl MixedSignalPll {
                 }
                 continue;
             }
-            let u = self.current_drive();
-            let (dphase, _) = self.trial(u, dt_seg);
-            let target = self.next_half * 0.5; // in cycles
-            if self.vco_phase_cycles + dphase >= target {
+            let (x, u) = (self.filter_state, self.current_drive());
+            let (seg, _) = self.trial(&x, u, dt_seg);
+            let toggle = self.next_half * 0.5; // in cycles
+            if self.vco_phase_cycles + seg.dphase >= toggle {
                 // VCO output toggles inside the segment: reject the trial
                 // and re-take it shortened to the toggle instant.
-                self.step_rejections += 1;
-                let need = target - self.vco_phase_cycles;
-                let dt_edge = self.solve_phase_crossing(u, need, dt_seg);
-                self.commit(u, dt_edge);
+                self.stats.step_rejections += 1;
+                let target = toggle - self.vco_phase_cycles;
+                let f_entry = self.frequency(&x, u);
+                let edge = solve_crossing(
+                    f_entry,
+                    [0.0; 3],
+                    |dt| self.trial(&x, u, dt),
+                    target,
+                    dt_seg,
+                );
+                self.commit(edge);
                 self.toggle_vco_output();
                 self.harvest_edges();
                 continue;
             }
-            self.commit(u, dt_seg);
+            self.commit(seg);
             if is_ref_toggle {
                 self.toggle_reference();
             }
@@ -435,29 +429,28 @@ impl MixedSignalPll {
     fn next_ref_toggle_time(&self) -> Option<f64> {
         match &self.source {
             ReferenceSource::External => None,
-            ReferenceSource::Stimulated {
-                stimulus,
-                stim_phase_base,
-                next_toggle_phase,
-                ..
-            } => Some(stimulus.time_at_phase(next_toggle_phase - stim_phase_base, self.t)),
+            ReferenceSource::Stimulated { next_toggle, .. } => Some(next_toggle.t),
         }
     }
 
-    /// Pokes the next reference level into the kernel and advances the
-    /// toggle target by half a cycle.
+    /// Pokes the next reference level into the kernel and solves for the
+    /// following toggle, half a cycle on.
     fn toggle_reference(&mut self) {
         let lv = {
             let ReferenceSource::Stimulated {
+                stimulus,
+                stim_phase_base,
                 next_toggle_phase,
+                next_toggle,
                 level,
-                ..
             } = &mut self.source
             else {
                 return;
             };
             *level = !*level;
             *next_toggle_phase += 0.5;
+            *next_toggle =
+                stimulus.solve_phase(*next_toggle_phase - *stim_phase_base, *next_toggle);
             Logic::from(*level)
         };
         let at = SimTime::from_secs_f64(self.t).max(self.circuit.now());
@@ -502,46 +495,24 @@ impl MixedSignalPll {
     fn toggle_vco_output(&mut self) {
         self.vco_level = !self.vco_level;
         self.next_half += 1.0;
-        self.vco_toggles += 1;
         let at = SimTime::from_secs_f64(self.t).max(self.circuit.now());
         self.circuit
             .poke(self.nets.vco_out, Logic::from(self.vco_level), at);
         self.circuit.run_until(at);
     }
 
-    fn solve_phase_crossing(&mut self, u: PumpOutput, target_cycles: f64, dt_max: f64) -> f64 {
-        let mut lo = 0.0f64;
-        let mut hi = dt_max;
-        for _ in 0..50 {
-            let mid = 0.5 * (lo + hi);
-            if mid == lo || mid == hi {
-                break;
-            }
-            let (dphase, _) = self.trial(u, mid);
-            if dphase < target_cycles {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        hi
-    }
-
     /// Snapshots both domains (see [`CosimCheckpoint`]).
     pub fn checkpoint(&self) -> CosimCheckpoint {
         CosimCheckpoint {
             circuit: self.circuit.clone(),
-            filter_state: self.filter_state.clone(),
+            filter_state: self.filter_state,
             source: self.source.clone(),
             t: self.t,
             vco_phase_cycles: self.vco_phase_cycles,
             next_half: self.next_half,
             vco_level: self.vco_level,
             hold: self.hold,
-            steps: self.steps,
-            step_rejections: self.step_rejections,
-            vco_toggles: self.vco_toggles,
-            hold_engagements: self.hold_engagements,
+            stats: self.stats,
         }
     }
 
@@ -551,17 +522,14 @@ impl MixedSignalPll {
     /// Instrumentation (event collection) is reset to off/empty.
     pub fn restore(&mut self, snapshot: &CosimCheckpoint) {
         self.circuit = snapshot.circuit.clone();
-        self.filter_state.clone_from(&snapshot.filter_state);
+        self.filter_state = snapshot.filter_state;
         self.source = snapshot.source.clone();
         self.t = snapshot.t;
         self.vco_phase_cycles = snapshot.vco_phase_cycles;
         self.next_half = snapshot.next_half;
         self.vco_level = snapshot.vco_level;
         self.hold = snapshot.hold;
-        self.steps = snapshot.steps;
-        self.step_rejections = snapshot.step_rejections;
-        self.vco_toggles = snapshot.vco_toggles;
-        self.hold_engagements = snapshot.hold_engagements;
+        self.stats = snapshot.stats;
         self.collect = false;
         self.events = Vec::new();
         self.seen_ref_edges = self.circuit.rising_edge_count(self.nets.reference);
@@ -581,17 +549,14 @@ impl MixedSignalPll {
 #[derive(Clone)]
 pub struct CosimCheckpoint {
     circuit: Circuit,
-    filter_state: Vec<f64>,
+    filter_state: FilterState,
     source: ReferenceSource,
     t: f64,
     vco_phase_cycles: f64,
     next_half: f64,
     vco_level: bool,
     hold: bool,
-    steps: u64,
-    step_rejections: u64,
-    vco_toggles: u64,
-    hold_engagements: u64,
+    stats: WorkStats,
 }
 
 impl PllEngine for MixedSignalPll {
@@ -644,12 +609,19 @@ impl PllEngine for MixedSignalPll {
             ReferenceSource::Stimulated {
                 stimulus: current,
                 stim_phase_base,
+                next_toggle_phase,
+                next_toggle,
                 ..
             } => {
                 // Phase continuity: the new law takes over at the current
-                // reference phase, so the toggle targets stay valid.
+                // reference phase, so the pending toggle target stays
+                // valid; rounding in the new base may put it a hair
+                // behind now, and then the toggle fires now.
                 let phase_now = *stim_phase_base + current.phase_cycles(self.t);
-                *stim_phase_base = phase_now - stimulus.phase_cycles(self.t);
+                let here = stimulus.eval(self.t);
+                *stim_phase_base = phase_now - here.phase;
+                let target = (*next_toggle_phase - *stim_phase_base).max(here.phase);
+                *next_toggle = stimulus.solve_phase(target, here);
                 *current = stimulus;
             }
         }
@@ -657,7 +629,7 @@ impl PllEngine for MixedSignalPll {
 
     fn set_hold(&mut self, hold: bool) {
         if hold && !self.hold {
-            self.hold_engagements += 1;
+            self.stats.hold_engagements += 1;
         }
         self.hold = hold;
     }
@@ -693,13 +665,10 @@ impl PllEngine for MixedSignalPll {
 
     fn work_stats(&self) -> WorkStats {
         WorkStats {
-            steps: self.steps,
-            step_rejections: self.step_rejections,
             ref_edges: self.circuit.rising_edge_count(self.nets.reference),
             fb_edges: self.circuit.rising_edge_count(self.nets.fb),
-            hold_engagements: self.hold_engagements,
-            pfd_glitches: 0,
             kernel_events: self.circuit.events_dispatched(),
+            ..self.stats
         }
     }
 }
@@ -760,15 +729,14 @@ mod tests {
     fn cosim_stats_count_both_domains() {
         let cfg = PllConfig::paper_table3();
         let mut pll = MixedSignalPll::with_clock_reference(&cfg);
-        assert_eq!(pll.stats(), CosimStats::default());
+        assert_eq!(pll.work_stats(), WorkStats::default());
         pll.advance_to(0.05);
-        let s = pll.stats();
-        // 0.05 s at 5 kHz VCO: 500 half-period toggles, each a rejected
-        // (shortened) trial; the kernel sees at least those pokes plus
-        // reference clock and divider activity.
-        assert!((495..=505).contains(&s.vco_toggles), "{s:?}");
-        assert!(s.step_rejections >= s.vco_toggles, "{s:?}");
-        assert!(s.steps > s.vco_toggles, "{s:?}");
+        let s = pll.work_stats();
+        // 0.05 s at 5 kHz VCO: 500 half-period toggles, each exactly one
+        // rejected (shortened) trial; the kernel sees at least those pokes
+        // plus reference clock and divider activity.
+        assert!((495..=505).contains(&s.step_rejections), "{s:?}");
+        assert!(s.steps > s.step_rejections, "{s:?}");
         assert!(s.kernel_events > 500, "{s:?}");
     }
 
@@ -871,6 +839,24 @@ mod tests {
         );
         assert_eq!(a.control_voltage().to_bits(), b.control_voltage().to_bits());
         assert_eq!(a.work_stats(), b.work_stats());
+    }
+
+    #[test]
+    fn stimulus_switch_keeps_a_pending_edge() {
+        let cfg = PllConfig::paper_table3();
+        let mut pll = MixedSignalPll::with_stimulated_reference(&cfg);
+        pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
+        pll.advance_to(0.0503);
+        let ReferenceSource::Stimulated {
+            next_toggle,
+            level: false,
+            ..
+        } = &pll.source
+        else {
+            panic!("the pending toggle is not the rising edge");
+        };
+        let edge = next_toggle.t;
+        crate::loop_shell::tests::assert_switch_keeps_pending_edge(&mut pll, edge);
     }
 
     #[test]

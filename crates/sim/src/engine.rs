@@ -5,7 +5,7 @@
 //! realised*. [`PllEngine`] is that claim as a trait: everything the
 //! Table 2 sequencer, the counters and the sweep pipeline need from a
 //! loop — time, stimulus programming, the hold mechanism, edge events,
-//! counter-style phase readout — with three loop models:
+//! counter-style phase readout — with four loop models:
 //!
 //! * [`crate::loop_shell::LoopShell`] — the behavioural loop (PFD, hold
 //!   mux, edges, counters, checkpointing) written once and generic over
@@ -24,6 +24,11 @@
 //!   steady-state response, the analytic reference curve the others
 //!   are judged against.
 //!
+//! The four keep their own phase models but find their output edges
+//! with one root finder, `loop_shell::solve_crossing` (feedback
+//! edges; the gate-level engine's VCO toggles), and place their
+//! reference edges by the stimulus's exact phase inverse.
+//!
 //! Each engine also exposes **lock-state checkpointing**
 //! ([`PllEngine::checkpoint`] / [`PllEngine::restore`]): a snapshot of
 //! the settled loop that sweeps clone per point instead of re-locking —
@@ -32,20 +37,20 @@
 
 use crate::behavioral::LoopEvent;
 use crate::config::PllConfig;
-use crate::stimulus::FmStimulus;
+use crate::loop_shell::{solve_crossing, Segment};
+use crate::stimulus::{FmStimulus, PhasePoint};
 use pllbist_numeric::tf::TransferFunction;
 use std::f64::consts::TAU;
 
-/// Backend-agnostic work counters: what the behavioural loop
-/// ([`crate::loop_shell::LoopShell`]) counts itself, and a superset of
-/// [`crate::cosim::CosimStats`].
+/// Backend-agnostic work counters, the same on every engine.
 /// Plain `u64`s, polled at stage boundaries and diffed with
 /// [`WorkStats::since`] so telemetry observes without steering.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkStats {
     /// Committed integration segments (or closed-form evaluations).
     pub steps: u64,
-    /// Trial segments shortened because an edge fell inside them.
+    /// Trial segments shortened because an output edge (a feedback edge,
+    /// or a VCO toggle on the gate-level engine) fell inside them.
     pub step_rejections: u64,
     /// Reference edges processed.
     pub ref_edges: u64,
@@ -323,7 +328,11 @@ fn fundamental_of(stimulus: &FmStimulus) -> (f64, f64, f64) {
 /// The closed-form reference engine: a [`PllEngine`] whose output is the
 /// *analytic steady-state* response of the linearised loop
 /// ([`crate::linear::LoopAnalysis`]), with reference and feedback edges
-/// synthesised from the closed-form phases.
+/// synthesised from the closed-form phases: each reference edge by the
+/// stimulus's exact inverse, each feedback edge by
+/// `loop_shell::solve_crossing` on the output phase. Both edge streams are
+/// live whether or not events are collected, so the counts in
+/// [`work_stats`](PllEngine::work_stats) are the recorded edges.
 ///
 /// Two transfer functions drive it:
 ///
@@ -361,11 +370,13 @@ pub struct ClosedFormPll {
     held_freq_hz: f64,
     collect: bool,
     events: Vec<LoopEvent>,
-    /// Next reference-phase integer target (cycles, incl. base); valid
-    /// while collecting.
+    /// The pending reference edge's integer phase target (cycles, incl.
+    /// base).
     next_ref_target: f64,
-    /// Next feedback-edge output-phase target (multiples of N); valid
-    /// while collecting.
+    /// The stimulus evaluated at the pending reference edge; it seeds
+    /// the next edge's solve.
+    next_ref: PhasePoint,
+    /// Next feedback-edge output-phase target (multiples of N).
     next_fb_target: f64,
     stats: WorkStats,
 }
@@ -376,6 +387,7 @@ impl ClosedFormPll {
     pub fn new(config: &PllConfig) -> Self {
         let analysis = config.analysis();
         let stimulus = FmStimulus::constant(config.f_ref_hz, 0.0);
+        let next_ref = stimulus.solve_phase(1.0, stimulus.eval(0.0));
         let mut engine = Self {
             config: config.clone(),
             h_full: analysis.feedback_transfer(),
@@ -393,6 +405,7 @@ impl ClosedFormPll {
             collect: false,
             events: Vec::new(),
             next_ref_target: 1.0,
+            next_ref,
             next_fb_target: config.divider_n as f64,
             stats: WorkStats::default(),
         };
@@ -421,11 +434,6 @@ impl ClosedFormPll {
         self.resp_hold = project(&self.h_hold);
     }
 
-    /// Continuous reference phase in cycles (base + stimulus phase).
-    fn reference_phase_cycles_at(&self, t: f64) -> f64 {
-        self.stim_phase_base + self.stimulus.phase_cycles(t)
-    }
-
     /// Output frequency at time `t` in the current regime, in Hz.
     fn output_frequency_at(&self, t: f64) -> f64 {
         if self.hold {
@@ -435,102 +443,33 @@ impl ClosedFormPll {
         }
     }
 
-    /// Output-phase advance over `[self.t, self.t + dt]`, in cycles
-    /// (closed form; valid while the regime does not change).
-    fn out_phase_advance(&self, dt: f64) -> f64 {
-        if self.hold {
+    /// The output segment over `[self.t, self.t + dt]` (closed form;
+    /// valid while the regime does not change), with the output
+    /// frequency at its end.
+    pub(crate) fn segment(&self, dt: f64) -> (Segment<()>, f64) {
+        let dphase = if self.hold {
             self.held_freq_hz * dt
         } else {
             self.f_center_hz * dt + self.resp_full.phase_cycles_over(self.t, dt)
-        }
+        };
+        let seg = Segment {
+            dt,
+            dphase,
+            end: (),
+        };
+        (seg, self.output_frequency_at(self.t + dt))
     }
 
-    /// Earliest `dt ∈ (0, dt_max]` at which the output phase has advanced
-    /// by `target` cycles (bisection on the monotone closed form), or
-    /// `None` if it does not get there within `dt_max`.
-    fn dt_at_out_phase(&self, target: f64, dt_max: f64) -> Option<f64> {
-        if self.out_phase_advance(dt_max) < target {
-            return None;
-        }
-        let mut lo = 0.0f64;
-        let mut hi = dt_max;
-        for _ in 0..80 {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break;
-            }
-            if self.out_phase_advance(mid) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(hi)
+    fn commit(&mut self, seg: Segment<()>) {
+        self.out_phase_cycles += seg.dphase;
+        self.t += seg.dt;
+        self.stats.steps += 1;
     }
 
-    /// Re-aims the edge targets at the first edges strictly after the
-    /// current time (with a small guard so an edge exactly "now" is not
-    /// re-emitted).
-    fn rearm_edge_targets(&mut self) {
-        let ref_phase = self.reference_phase_cycles_at(self.t);
-        self.next_ref_target = ref_phase.floor() + 1.0;
-        if self.next_ref_target - ref_phase < 1e-9 {
-            self.next_ref_target += 1.0;
+    fn record(&mut self, event: LoopEvent) {
+        if self.collect {
+            self.events.push(event);
         }
-        let fb_index = (self.out_phase_cycles / self.divider_n).floor() + 1.0;
-        self.next_fb_target = fb_index * self.divider_n;
-        if self.next_fb_target - self.out_phase_cycles < 1e-9 * self.divider_n {
-            self.next_fb_target += self.divider_n;
-        }
-    }
-
-    /// Advances to `t_end` emitting [`LoopEvent`]s in time order.
-    fn advance_collecting(&mut self, t_end: f64) {
-        while self.t < t_end {
-            let t_ref = self
-                .stimulus
-                .time_at_phase(self.next_ref_target - self.stim_phase_base, self.t);
-            let next_ref = (t_ref <= t_end).then_some(t_ref);
-            let next_fb = self
-                .dt_at_out_phase(self.next_fb_target - self.out_phase_cycles, t_end - self.t)
-                .map(|dt| self.t + dt);
-            match (next_ref, next_fb) {
-                (Some(tr), Some(tf)) if tr <= tf => self.step_to_ref_edge(tr),
-                (_, Some(tf)) => self.step_to_fb_edge(tf),
-                (Some(tr), None) => self.step_to_ref_edge(tr),
-                (None, None) => {
-                    self.commit_to(t_end);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Commits the closed-form phase advance up to `t_new`.
-    fn commit_to(&mut self, t_new: f64) {
-        let dt = t_new - self.t;
-        if dt > 0.0 {
-            self.out_phase_cycles += self.out_phase_advance(dt);
-            self.t = t_new;
-            self.stats.steps += 1;
-        }
-    }
-
-    fn step_to_ref_edge(&mut self, t_edge: f64) {
-        self.commit_to(t_edge.max(self.t));
-        self.events.push(LoopEvent::RefEdge { t: t_edge });
-        self.stats.ref_edges += 1;
-        self.next_ref_target += 1.0;
-    }
-
-    fn step_to_fb_edge(&mut self, t_edge: f64) {
-        self.commit_to(t_edge.max(self.t));
-        // Land exactly on the divider target (the bisection is within one
-        // ulp of it) so successive targets never smear.
-        self.out_phase_cycles = self.next_fb_target;
-        self.events.push(LoopEvent::FbEdge { t: t_edge });
-        self.stats.fb_edges += 1;
-        self.next_fb_target += self.divider_n;
     }
 }
 
@@ -556,17 +495,35 @@ impl PllEngine for ClosedFormPll {
             t_end.is_finite() && t_end >= self.t,
             "t_end must be ahead of the current time"
         );
-        if self.collect {
-            self.advance_collecting(t_end);
-        } else {
-            // Closed form: account edge counts by phase bookkeeping only.
-            let ref0 = self.reference_phase_cycles_at(self.t).floor();
-            let fb0 = (self.out_phase_cycles / self.divider_n).floor();
-            self.commit_to(t_end);
-            let ref1 = self.reference_phase_cycles_at(self.t).floor();
-            let fb1 = (self.out_phase_cycles / self.divider_n).floor();
-            self.stats.ref_edges += (ref1 - ref0).max(0.0) as u64;
-            self.stats.fb_edges += (fb1 - fb0).max(0.0) as u64;
+        while self.t < t_end {
+            let is_ref_edge = self.next_ref.t <= t_end;
+            let dt_seg = if is_ref_edge { self.next_ref.t } else { t_end } - self.t;
+            if dt_seg > 0.0 {
+                let (seg, _) = self.segment(dt_seg);
+                if self.out_phase_cycles + seg.dphase >= self.next_fb_target {
+                    // A feedback edge falls inside the segment: it is
+                    // rejected and re-taken at the shortened length.
+                    let target = self.next_fb_target - self.out_phase_cycles;
+                    let f_entry = self.output_frequency_at(self.t);
+                    let edge =
+                        solve_crossing(f_entry, [0.0; 3], |dt| self.segment(dt), target, dt_seg);
+                    self.commit(edge);
+                    self.stats.step_rejections += 1;
+                    self.stats.fb_edges += 1;
+                    self.next_fb_target += self.divider_n;
+                    self.record(LoopEvent::FbEdge { t: self.t });
+                    continue;
+                }
+                self.commit(seg);
+            }
+            if is_ref_edge {
+                self.record(LoopEvent::RefEdge { t: self.next_ref.t });
+                self.stats.ref_edges += 1;
+                self.next_ref_target += 1.0;
+                self.next_ref = self
+                    .stimulus
+                    .solve_phase(self.next_ref_target - self.stim_phase_base, self.next_ref);
+            }
         }
     }
 
@@ -585,13 +542,16 @@ impl PllEngine for ClosedFormPll {
     }
 
     fn set_stimulus(&mut self, stimulus: FmStimulus) {
-        let current = self.reference_phase_cycles_at(self.t);
+        let current = self.stim_phase_base + self.stimulus.phase_cycles(self.t);
+        let here = stimulus.eval(self.t);
         self.stimulus = stimulus;
-        self.stim_phase_base = current - self.stimulus.phase_cycles(self.t);
+        self.stim_phase_base = current - here.phase;
         self.project_responses();
-        if self.collect {
-            self.rearm_edge_targets();
-        }
+        // The pending edge has not fired, so its integer target carries
+        // over; rounding in the new base may put it a hair behind now,
+        // and then the edge fires now.
+        let target = (self.next_ref_target - self.stim_phase_base).max(here.phase);
+        self.next_ref = self.stimulus.solve_phase(target, here);
     }
 
     fn set_hold(&mut self, hold: bool) {
@@ -609,9 +569,6 @@ impl PllEngine for ClosedFormPll {
     }
 
     fn collect_events(&mut self, on: bool) {
-        if on && !self.collect {
-            self.rearm_edge_targets();
-        }
         self.collect = on;
     }
 
@@ -742,6 +699,45 @@ mod tests {
             b.vco_frequency_hz().to_bits()
         );
         assert_eq!(a.work_stats(), b.work_stats());
+    }
+
+    #[test]
+    fn stimulus_switch_keeps_a_pending_edge() {
+        let cfg = PllConfig::paper_table3();
+        let mut pll = ClosedFormPll::new_locked(&cfg);
+        pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
+        pll.advance_to(0.0503);
+        let edge = pll.next_ref.t;
+        crate::loop_shell::tests::assert_switch_keeps_pending_edge(&mut pll, edge);
+    }
+
+    #[test]
+    fn edge_counts_do_not_depend_on_collection() {
+        // One advance path: the recorded edges are the counted ones, up
+        // to the horizon, at every modulation frequency.
+        let cfg = PllConfig::paper_table3();
+        for f_mod in 1..=16 {
+            let stimulus = FmStimulus::pure_sine(1_000.0, 10.0, f64::from(f_mod));
+            let mut counted = ClosedFormPll::new_locked(&cfg);
+            counted.set_stimulus(stimulus.clone());
+            counted.advance_to(1.0);
+            let mut recorded = ClosedFormPll::new_locked(&cfg);
+            recorded.set_stimulus(stimulus);
+            recorded.collect_events(true);
+            recorded.advance_to(1.0);
+            let events = recorded.take_events();
+            let refs = events
+                .iter()
+                .filter(|e| matches!(e, LoopEvent::RefEdge { .. }))
+                .count() as u64;
+            let fbs = events.len() as u64 - refs;
+            let stats = counted.work_stats();
+            assert_eq!(
+                (refs, fbs),
+                (stats.ref_edges, stats.fb_edges),
+                "f_mod {f_mod} Hz"
+            );
+        }
     }
 
     #[test]

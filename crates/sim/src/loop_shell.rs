@@ -27,7 +27,9 @@
 //! safeguarded Newton on the integrator's phase advance, whose derivative
 //! is the instantaneous VCO frequency ([`Integrator::frequency`]), seeded
 //! from the frequency's derivatives at the segment start
-//! ([`Integrator::frequency_derivatives`]).
+//! ([`Integrator::frequency_derivatives`]). The solver, `solve_crossing`,
+//! takes the phase as a closure, so the closed-form and gate-level
+//! engines find their output edges with it too.
 //!
 //! Dispatch is static: each backend is its own monomorphised
 //! `LoopShell<I>`, with the same event loop and the same work accounting
@@ -202,17 +204,24 @@ pub trait Integrator: Sized {
 /// mid-segment or degenerate at the boundary.
 const EDGE_REL_TOL: f64 = 1e-13;
 
-/// The segment `dt ∈ (0, dt_max]` from state `x` at whose end the phase
-/// advance reaches `target` cycles; the caller guarantees the phase at
-/// `dt_max` reaches the target. Both integrators' feedback edges come from
-/// here.
+/// The segment `dt ∈ (0, dt_max]` at whose end the phase advance reaches
+/// `target` cycles; the caller guarantees the phase at `dt_max` reaches
+/// the target. Every engine's output edges come from here: both
+/// integrators' feedback edges, [`crate::engine::ClosedFormPll`]'s
+/// feedback edges and [`crate::cosim::MixedSignalPll`]'s VCO toggles.
 ///
-/// Newton on the phase advance φ, taking the instantaneous
-/// [`frequency`](Integrator::frequency) f at the candidate as its slope,
-/// safeguarded by a shrinking bracket with bisection fallback. The first
-/// candidate inverts the phase's quartic Taylor expansion at the segment
-/// start, `φ(t) = f·t·(1 + p·t + q·t² + r·t³)` with `p = f′/2f`,
-/// `q = f″/6f` and `r = f‴/24f`:
+/// The caller describes its phase by three things: `f_entry`, the
+/// instantaneous frequency at the segment start; `derivatives`, that
+/// frequency's first three time derivatives there (Hz/s, Hz/s², Hz/s³;
+/// zeros are always valid); and `segment`, which evaluates the segment
+/// of a given length and returns it with the frequency at its end.
+///
+/// Newton on the phase advance φ, taking the frequency f at the
+/// candidate's end as its slope, safeguarded by a shrinking bracket with
+/// bisection fallback. The first candidate inverts the phase's quartic
+/// Taylor expansion at the segment start,
+/// `φ(t) = f·t·(1 + p·t + q·t² + r·t³)` with `p = f′/2f`, `q = f″/6f`
+/// and `r = f‴/24f`:
 /// `h − p·h² + (2p² − q)·h³ + (5pq − 5p³ − r)·h⁴`, `h = Δφ/f`. On
 /// [`crate::event_driven::EventStep`] that lands within the tolerance
 /// below, so one evaluation is the whole solve; with the zero
@@ -223,20 +232,21 @@ const EDGE_REL_TOL: f64 = 1e-13;
 /// `tol·max(1, f/φ̇) + 2ε/φ̇` of the computed phase's crossing, φ̇ being
 /// that phase's true slope and ε its evaluation noise. For
 /// [`crate::event_driven::EventStep`]'s exact phase φ̇ = f; for
-/// [`crate::behavioral::MicroStep`]'s trapezoid φ̇ = f + ¼·f̈·dt², which
+/// a trapezoid phase ([`crate::behavioral::MicroStep`], the gate-level
+/// engine) φ̇ = f + ¼·f̈·dt², which
 /// equals f while the frequency is linear in time. ε is rounding
 /// (cancellation in the closed form's `f0·dt + gdx·∫x`) and, on the
 /// micro-step path, the matrix exponential's ~1e-13 relative
 /// non-smoothness in dt: both sit at the tolerance's own scale, which is
 /// why the tolerance is not tighter.
 #[inline]
-fn solve_crossing<I: Integrator>(
-    integ: &mut I,
-    x: &I::State,
-    drive: PfdOutput,
+pub(crate) fn solve_crossing<S>(
+    f_entry: f64,
+    derivatives: [f64; 3],
+    mut segment: impl FnMut(f64) -> (Segment<S>, f64),
     target: f64,
     dt_max: f64,
-) -> Segment<I::State> {
+) -> Segment<S> {
     let tol = EDGE_REL_TOL * dt_max;
     // The bracket: `hi` is always the tightest candidate evaluated at or
     // past the target, or `dt_max`, which the caller guarantees is.
@@ -245,9 +255,8 @@ fn solve_crossing<I: Integrator>(
     // Initial guess: the series inverse of the phase's quartic Taylor
     // expansion at the segment entry, φ(t) = f·t·(1 + p·t + q·t² + r·t³)
     // with p = f′/2f, q = f″/6f, r = f‴/24f.
-    let f_entry = integ.frequency(x, drive);
     let mut cand = if f_entry > 0.0 {
-        let [d1, d2, d3] = integ.frequency_derivatives(x, drive);
+        let [d1, d2, d3] = derivatives;
         let (p, q, r) = (
             0.5 * d1 / f_entry,
             d2 / (6.0 * f_entry),
@@ -271,13 +280,12 @@ fn solve_crossing<I: Integrator>(
         }
         // One evaluation per candidate gives both the phase residual and
         // the Newton slope (the frequency at its end).
-        let here = integ.advance(x, drive, cand);
+        let (here, f) = segment(cand);
         if here.dphase < target {
             lo = cand;
         } else {
             hi = cand;
         }
-        let f = integ.frequency(&here.end, drive);
         if f <= 0.0 {
             // No usable slope: bisect the bracket.
             cand = 0.5 * (lo + hi);
@@ -295,7 +303,22 @@ fn solve_crossing<I: Integrator>(
     }
     // Not converged within the iteration budget: the bracket's upper end
     // (evaluations are deterministic, so this repeats `hi`'s bits).
-    integ.advance(x, drive, hi)
+    segment(hi).0
+}
+
+/// The segment evaluation [`solve_crossing`] asks of integrator `integ`
+/// from state `x` under `drive`.
+#[inline]
+fn integrator_segment<'a, I: Integrator>(
+    integ: &'a mut I,
+    x: &'a I::State,
+    drive: PfdOutput,
+) -> impl FnMut(f64) -> (Segment<I::State>, f64) + 'a {
+    move |dt| {
+        let seg = integ.advance(x, drive, dt);
+        let f = integ.frequency(&seg.end, drive);
+        (seg, f)
+    }
 }
 
 /// The pump output for a PFD state, as a pure function of the config.
@@ -778,7 +801,14 @@ impl<I: Integrator> LoopShell<I> {
                 // is rejected and re-taken at the shortened length.
                 self.st.stats.step_rejections += 1;
                 let target = self.st.next_fb_target - self.st.vco_phase_cycles;
-                let edge = solve_crossing(&mut self.integ, &self.st.x, drive, target, dt_seg);
+                let (integ, x) = (&mut self.integ, &self.st.x);
+                let edge = solve_crossing(
+                    integ.frequency(x, drive),
+                    integ.frequency_derivatives(x, drive),
+                    integrator_segment(integ, x, drive),
+                    target,
+                    dt_seg,
+                );
                 self.commit(drive, edge);
                 self.process_fb_edge();
                 continue;
@@ -997,8 +1027,32 @@ impl<I: Integrator> AnalogAccess for LoopShell<I> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Switches `pll` from ten-step FSK to sine FM one ulp before its
+    /// pending reference edge at `edge`: the edge's phase then sits
+    /// inside the scheduler's guard below its integer, and it must still
+    /// be emitted, once, within a picosecond of `edge` (the gate-level
+    /// kernel's time resolution).
+    pub(crate) fn assert_switch_keeps_pending_edge<E: PllEngine>(pll: &mut E, edge: f64) {
+        pll.advance_to(edge.next_down());
+        let before = pll.work_stats().ref_edges;
+        pll.collect_events(true);
+        pll.set_stimulus(FmStimulus::pure_sine(1_000.0, 10.0, 8.0));
+        pll.advance_to(edge + 0.5e-3);
+        let first = pll
+            .take_events()
+            .into_iter()
+            .find(|e| matches!(e, LoopEvent::RefEdge { .. }))
+            .expect("a reference edge within half a period");
+        assert!(
+            (first.time() - edge).abs() <= 1e-12,
+            "pending edge at {edge}, first emitted at {}",
+            first.time()
+        );
+        assert_eq!(pll.work_stats().ref_edges, before + 1);
+    }
 
     /// One `#[test]` per shared behaviour per backend.
     macro_rules! engine_suite {
@@ -1226,30 +1280,12 @@ mod tests {
 
                 #[test]
                 fn stimulus_switch_keeps_a_pending_edge() {
-                    // A switch one ulp before the pending reference edge:
-                    // the edge's phase sits inside the scheduler's guard
-                    // below its integer, and must still be emitted.
                     let cfg = PllConfig::paper_table3();
                     let mut pll = Engine::new_locked(&cfg);
                     pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
                     pll.advance_to(0.0503);
                     let edge = pll.st.next_ref_edge;
-                    pll.advance_to(edge.next_down());
-                    let before = pll.work_stats().ref_edges;
-                    pll.collect_events(true);
-                    pll.set_stimulus(FmStimulus::pure_sine(1_000.0, 10.0, 8.0));
-                    pll.advance_to(edge + 0.5e-3);
-                    let first = pll
-                        .take_events()
-                        .into_iter()
-                        .find(|e| matches!(e, LoopEvent::RefEdge { .. }))
-                        .expect("a reference edge within half a period");
-                    assert!(
-                        (first.time() - edge).abs() <= 1e-12,
-                        "pending edge at {edge}, first emitted at {}",
-                        first.time()
-                    );
-                    assert_eq!(pll.work_stats().ref_edges, before + 1);
+                    assert_switch_keeps_pending_edge(&mut pll, edge);
                 }
 
                 #[test]
@@ -1354,8 +1390,10 @@ mod tests {
 
     mod edge_solver {
         use super::*;
-        use crate::behavioral::MicroStep;
-        use crate::config::FilterConfig;
+        use crate::behavioral::{FilterState, MicroStep};
+        use crate::config::{DriveConfig, FilterConfig};
+        use crate::cosim::{pump_table, MixedSignalPll};
+        use crate::engine::ClosedFormPll;
         use crate::event_driven::EventStep;
         use pllbist_testkit::prop::CaseResult;
         use pllbist_testkit::{prop_assert, prop_assume, prop_check};
@@ -1363,13 +1401,11 @@ mod tests {
         /// The reference edge: the 60-halving bisection `CpPll` used
         /// before the shared Newton solver, exact to ~1e-18·dt_max on a
         /// phase that rises through the target once.
-        fn bisect_crossing<I: Integrator>(
-            integ: &mut I,
-            x: &I::State,
-            drive: PfdOutput,
+        fn bisect_crossing<S>(
+            mut segment: impl FnMut(f64) -> (Segment<S>, f64),
             target: f64,
             dt_max: f64,
-        ) -> Segment<I::State> {
+        ) -> Segment<S> {
             let mut lo = 0.0f64;
             let mut hi = dt_max;
             for _ in 0..60 {
@@ -1377,17 +1413,31 @@ mod tests {
                 if mid == lo || mid == hi {
                     break;
                 }
-                if integ.advance(x, drive, mid).dphase < target {
+                if segment(mid).0.dphase < target {
                     lo = mid;
                 } else {
                     hi = mid;
                 }
             }
-            integ.advance(x, drive, hi)
+            segment(hi).0
         }
 
-        /// Newton's edge from state `x`, `fraction` of the way up the
-        /// segment's phase advance, must land within the bound
+        /// Crossings solved and the segment evaluations they took.
+        #[derive(Default)]
+        struct Tally {
+            solves: u64,
+            evaluations: u64,
+        }
+
+        impl Tally {
+            fn mean(&self) -> f64 {
+                self.evaluations as f64 / self.solves as f64
+            }
+        }
+
+        /// Newton's edge on the phase `segment` evaluates (entering at
+        /// `f_entry` with frequency `derivatives`), `fraction` of the way
+        /// up the segment's phase advance, must land within the bound
         /// `solve_crossing` states of the reference edge:
         /// `EDGE_REL_TOL·dt_max·max(1, f/φ̇)` plus twice the phase
         /// evaluation's noise over φ̇. Here f is the frequency at Newton's
@@ -1397,25 +1447,28 @@ mod tests {
         /// is negligible at that scale, so what remains is rounding and
         /// the discretisation's non-smoothness in dt). The 2 % margin
         /// covers the slope estimate and the reference's own error.
-        fn newton_matches_bisection<I: Integrator>(
-            integ: &mut I,
-            x: &I::State,
-            drive: PfdOutput,
+        /// Newton's evaluations go into `tally`.
+        fn newton_matches_bisection<S: std::fmt::Debug>(
+            f_entry: f64,
+            derivatives: [f64; 3],
+            mut segment: impl FnMut(f64) -> (Segment<S>, f64),
             dt_max: f64,
             fraction: f64,
+            tally: &mut Tally,
         ) -> CaseResult {
-            let full = integ.advance(x, drive, dt_max).dphase;
+            let full = segment(dt_max).0.dphase;
             prop_assume!(full > 0.0);
             let target = fraction * full;
-            let newton = solve_crossing(integ, x, drive, target, dt_max);
-            let reference = bisect_crossing(integ, x, drive, target, dt_max);
-            let mut phase = |t: f64| {
-                if t > 0.0 {
-                    integ.advance(x, drive, t).dphase
-                } else {
-                    0.0
-                }
+            let mut evaluations = 0;
+            let counted = |dt| {
+                evaluations += 1;
+                segment(dt)
             };
+            let newton = solve_crossing(f_entry, derivatives, counted, target, dt_max);
+            tally.solves += 1;
+            tally.evaluations += evaluations;
+            let reference = bisect_crossing(&mut segment, target, dt_max);
+            let mut phase = |t: f64| if t > 0.0 { segment(t).0.dphase } else { 0.0 };
             let c = newton.dt;
             let h = 1e-6 * dt_max;
             let (t0, t1) = ((c - h).max(0.0), c + h);
@@ -1426,16 +1479,45 @@ mod tests {
                 .filter(|&t| t > 0.0)
                 .map(|t| (phase(t) - newton.dphase - (t - c) * slope).abs())
                 .fold(0.0, f64::max);
-            let f = integ.frequency(&newton.end, drive);
+            let f = segment(c).1;
             let bound = 1.02 * EDGE_REL_TOL * dt_max * (f / slope).max(1.0) + 2.0 * noise / slope;
             prop_assert!(
                 (c - reference.dt).abs() <= bound,
-                "{drive:?} from {x:?}: newton {c} vs bisection {} (dt_max {dt_max}, \
-                 target {target}, f/slope {}, noise {noise:e} cycles)",
+                "from {f_entry} Hz, {derivatives:?}: newton {c} vs bisection {} \
+                 (dt_max {dt_max}, target {target}, f/slope {}, noise {noise:e} cycles)",
                 reference.dt,
                 f / slope
             );
             Ok(())
+        }
+
+        /// [`newton_matches_bisection`] on integrator `integ` from state
+        /// `x` under `drive`, as the shell solves its feedback edges.
+        fn integrator_matches_bisection<I: Integrator>(
+            integ: &mut I,
+            x: &I::State,
+            drive: PfdOutput,
+            dt_max: f64,
+            fraction: f64,
+        ) -> CaseResult {
+            newton_matches_bisection(
+                integ.frequency(x, drive),
+                integ.frequency_derivatives(x, drive),
+                integrator_segment(integ, x, drive),
+                dt_max,
+                fraction,
+                &mut Tally::default(),
+            )
+        }
+
+        /// A target fraction of the segment's phase advance: half
+        /// mid-segment and half at the segment start, as in lock.
+        fn any_fraction(g: &mut pllbist_testkit::prop::Gen) -> f64 {
+            if g.bool() {
+                g.f64_range(0.0, 1.0)
+            } else {
+                g.f64_range(0.0, 1e-9)
+            }
         }
 
         /// `MicroStep` edges from filter states scattered `±df_hz` of VCO
@@ -1452,12 +1534,8 @@ mod tests {
                 let x = crate::behavioral::FilterState::from_slice(&x).expect("stock filter");
                 let drive = g.pick(&[PfdOutput::Up, PfdOutput::Down, PfdOutput::Off]);
                 let dt_max = cap * g.f64_range(1e-3, 1.0);
-                let fraction = if g.bool() {
-                    g.f64_range(0.0, 1.0)
-                } else {
-                    g.f64_range(0.0, 1e-9)
-                };
-                newton_matches_bisection(&mut integ, &x, drive, dt_max, fraction)
+                let fraction = any_fraction(g);
+                integrator_matches_bisection(&mut integ, &x, drive, dt_max, fraction)
             });
         }
 
@@ -1537,56 +1615,100 @@ mod tests {
                 let x = lock + (f_entry - f_lock) / hz_per_unit;
                 let dt_max = cap * g.f64_range(0.5, 1.0);
                 let fraction = g.f64_range(0.0, 1.0);
-                newton_matches_bisection(&mut integ, &x, up, dt_max, fraction)
+                integrator_matches_bisection(&mut integ, &x, up, dt_max, fraction)
             });
         }
 
-        /// A VCO stopped until `start` seconds have elapsed, then running
-        /// at `f_hz`: a flat phase that gives Newton no slope, so the
-        /// solver's fallbacks are the only way through.
-        struct StalledVco {
-            start: f64,
-            f_hz: f64,
+        #[test]
+        fn newton_edges_match_bisection_on_the_closed_form_output_phase() {
+            // `ClosedFormPll`'s harmonic output phase, from a random
+            // instant of a sine or ten-step FSK steady state, now and
+            // then held; seeded, as the engine seeds it, at `Δφ/f`.
+            let cfg = PllConfig::paper_table3();
+            let mut tally = Tally::default();
+            prop_check!(cases: 256, |g| {
+                let f_mod = g.f64_range(0.5, 60.0);
+                let deviation = g.f64_range(1.0, 100.0);
+                let mut pll = ClosedFormPll::new_locked(&cfg);
+                pll.set_stimulus(if g.bool() {
+                    FmStimulus::pure_sine(cfg.f_ref_hz, deviation, f_mod)
+                } else {
+                    FmStimulus::multi_tone(cfg.f_ref_hz, deviation, f_mod, 10)
+                });
+                pll.advance_to(g.f64_range(0.0, 2.0 / f_mod));
+                pll.set_hold(g.usize_range(0, 8) == 0);
+                let dt_max = g.f64_range(1e-3, 1.5) / cfg.f_ref_hz;
+                let fraction = any_fraction(g);
+                newton_matches_bisection(
+                    pll.vco_frequency_hz(),
+                    [0.0; 3],
+                    |dt| pll.segment(dt),
+                    dt_max,
+                    fraction,
+                    &mut tally,
+                )
+            });
+            assert!(
+                tally.mean() <= 3.0,
+                "{} evaluations per crossing",
+                tally.mean()
+            );
         }
 
-        impl Integrator for StalledVco {
-            /// Elapsed time in seconds.
-            type State = f64;
-            const BACKEND: &'static str = "stalled";
-            const TOKEN_PREFIX: &'static str = "st:";
-            const SEGMENT_CAP_PERIODS: f64 = 1.0;
+        #[test]
+        fn newton_edges_match_bisection_on_a_gate_level_contention_segment() {
+            // `MixedSignalPll`'s trapezoid over one filter segment while
+            // both PFD outputs are high (inside the reset glitch): a
+            // mismatched pump then sources its net current into a
+            // ripple-capacitor filter, from states ±2 kHz around lock.
+            let mut cfg = ripple_capacitor();
+            cfg.drive = DriveConfig::Charge {
+                i_pump: 100e-6,
+                mismatch: 0.7,
+            };
+            let contention = pump_table(&cfg)[3];
+            assert!(matches!(contention, PumpOutput::Current(i) if i > 0.0));
+            let mut pll = MixedSignalPll::new_locked(&cfg);
+            let lock = lock_state(&cfg, cfg.build_filter().as_ref());
+            let dv = 2_000.0 / cfg.build_vco().gain_hz_per_volt();
+            let cap = 0.125 / cfg.f_vco_hz();
+            let mut tally = Tally::default();
+            prop_check!(cases: 256, |g| {
+                let x: Vec<f64> = lock.iter().map(|v| v + g.f64_range(-dv, dv)).collect();
+                let x = FilterState::of(&x);
+                let dt_max = cap * g.f64_range(1e-3, 1.0);
+                let fraction = any_fraction(g);
+                newton_matches_bisection(
+                    pll.frequency(&x, contention),
+                    [0.0; 3],
+                    |dt| pll.trial(&x, contention, dt),
+                    dt_max,
+                    fraction,
+                    &mut tally,
+                )
+            });
+            assert!(
+                tally.mean() <= 3.0,
+                "{} evaluations per crossing",
+                tally.mean()
+            );
+        }
 
-            fn locked(_config: &PllConfig) -> (Self, f64) {
-                unreachable!("a solver fixture, not an engine")
-            }
-
-            fn output(&self, _x: &f64, _drive: PfdOutput) -> f64 {
-                0.0
-            }
-
-            fn frequency(&self, x: &f64, _drive: PfdOutput) -> f64 {
-                if *x < self.start {
-                    0.0
-                } else {
-                    self.f_hz
-                }
-            }
-
-            fn advance(&mut self, x: &f64, _drive: PfdOutput, dt: f64) -> Segment<f64> {
-                let cycles = |t: f64| self.f_hz * (t - self.start).max(0.0);
-                Segment {
-                    dt,
-                    dphase: cycles(x + dt) - cycles(*x),
-                    end: x + dt,
-                }
-            }
-
-            fn encode_state(x: &f64) -> String {
-                bits_hex(*x)
-            }
-
-            fn decode_state(field: &str) -> Option<f64> {
-                f64_from_bits_hex(field)
+        /// A VCO stopped until `start` seconds into the segment, then
+        /// running at `f_hz`: a flat phase that gives Newton no slope, so
+        /// the solver's fallbacks are the only way through.
+        fn stalled_vco(start: f64, f_hz: f64) -> impl FnMut(f64) -> (Segment<()>, f64) {
+            move |dt| {
+                let dphase = f_hz * (dt - start).max(0.0);
+                let f = if dt < start { 0.0 } else { f_hz };
+                (
+                    Segment {
+                        dt,
+                        dphase,
+                        end: (),
+                    },
+                    f,
+                )
             }
         }
 
@@ -1594,13 +1716,10 @@ mod tests {
         fn zero_frequency_falls_back_to_bisection() {
             // f = 0 at entry and at the first candidate (dt_max/2): two
             // bisection steps, then Newton on the running VCO.
-            let mut vco = StalledVco {
-                start: 0.6e-3,
-                f_hz: 5_000.0,
-            };
             let (target, dt_max) = (1.0, 1e-3);
-            let newton = solve_crossing(&mut vco, &0.0, PfdOutput::Off, target, dt_max);
-            let reference = bisect_crossing(&mut vco, &0.0, PfdOutput::Off, target, dt_max);
+            let vco = || stalled_vco(0.6e-3, 5_000.0);
+            let newton = solve_crossing(0.0, [0.0; 3], vco(), target, dt_max);
+            let reference = bisect_crossing(vco(), target, dt_max);
             assert!(
                 (newton.dt - 0.8e-3).abs() <= EDGE_REL_TOL * dt_max,
                 "{newton:?}"
@@ -1614,15 +1733,12 @@ mod tests {
             // f = 0 there: the bracket halves through the whole iteration
             // budget without a Newton step, and the bracket's upper end
             // (the tightest evaluation at or past the target) is the edge.
-            let mut vco = StalledVco {
-                start: 0.6e-3,
-                f_hz: 5_000.0,
-            };
             let dt_max = 1e-3;
-            let edge = solve_crossing(&mut vco, &0.0, PfdOutput::Off, 0.0, dt_max);
+            let vco = || stalled_vco(0.6e-3, 5_000.0);
+            let edge = solve_crossing(0.0, [0.0; 3], vco(), 0.0, dt_max);
             assert_eq!(edge.dt, dt_max * 0.5f64.powi(64), "{edge:?}");
             assert_eq!(edge.dphase, 0.0);
-            let reference = bisect_crossing(&mut vco, &0.0, PfdOutput::Off, 0.0, dt_max);
+            let reference = bisect_crossing(vco(), 0.0, dt_max);
             assert!((edge.dt - reference.dt).abs() <= EDGE_REL_TOL * dt_max);
         }
     }

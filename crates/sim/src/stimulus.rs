@@ -16,7 +16,7 @@
 //! has.
 //!
 //! Every engine places each reference edge by inverting the phase
-//! ([`FmStimulus::time_at_phase`]), and each kind has an exact inverse:
+//! (`FmStimulus::solve_phase`), and each kind has an exact inverse:
 //! the staircase and constant kinds are piecewise linear in phase (one
 //! division inside the dwell that holds the target), and sine FM/PM is
 //! Newton from a second-order seed, which one or two steps finish.
@@ -392,30 +392,19 @@ impl FmStimulus {
     }
 
     /// The time of the next rising reference edge strictly after `t`
-    /// (edge `k` occurs at `phase_cycles = k`), by the exact inverse of
-    /// [`time_at_phase`](Self::time_at_phase).
+    /// (edge `k` occurs at `phase_cycles = k`), by the exact phase
+    /// inverse the engines place their edges with.
     pub fn next_edge_after(&self, t: f64) -> f64 {
         let from = self.eval(t);
         self.solve_phase(from.phase.floor() + 1.0, from).t
     }
 
-    /// The earliest time `≥ t_min` at which the accumulated phase reaches
-    /// `target` cycles (used by the engine to keep the reference edge
-    /// stream phase-continuous across stimulus switches): the first
-    /// representable time at or past the crossing of the computed phase,
-    /// to within a few ulps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target lies in the past (`phase(t_min) > target`).
-    pub fn time_at_phase(&self, target: f64, t_min: f64) -> f64 {
-        self.solve_phase(target, self.eval(t_min)).t
-    }
-
-    /// [`time_at_phase`](Self::time_at_phase) from an already evaluated
-    /// `from = eval(t_min)`, returning the edge's own evaluation — so the
-    /// engine seeds each reference edge from the previous one. A pure
-    /// function of `(self, target, from.t)`.
+    /// The earliest time `≥ from.t` at which the accumulated phase
+    /// reaches `target` cycles — the first representable time at or past
+    /// the crossing of the computed phase, to within a few ulps — solved
+    /// from an already evaluated `from`, and returned as the edge's own
+    /// evaluation, so an engine seeds each reference edge from the
+    /// previous one. A pure function of `(self, target, from.t)`.
     ///
     /// Each kind has an exact inverse: one division for a constant
     /// deviation; for a staircase, whole modulation periods by `floor`,
@@ -707,7 +696,7 @@ mod tests {
                     target += 1.0;
                 }
                 let local = target - base;
-                let got = s.time_at_phase(local, t);
+                let got = s.solve_phase(local, s.eval(t)).t;
                 let want = reference_time_at_phase(&s, local, t);
                 let tol = 1e-15 * want.max(1.0);
                 let at = s.eval(got);

@@ -64,6 +64,24 @@ for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'fn solve_crossing' 
   fi
 done
 
+# All four engines find their output edges (feedback edges, VCO toggles)
+# with loop_shell::solve_crossing and their reference edges with the
+# stimulus's exact inverse. This gate keeps the engine-private searches
+# they replaced gone: a midpoint bisection outside those two files, or a
+# revived FmStimulus::time_at_phase or CosimStats, means an engine grew
+# its own edge solver or work counters again.
+echo "==> one-edge-solver gate (no midpoint bisection outside loop_shell.rs and stimulus.rs; no time_at_phase or CosimStats)"
+if grep -rnF '0.5 * (lo + hi)' crates/sim/src | grep -vE '^crates/sim/src/(loop_shell|stimulus)\.rs:'; then
+  echo "one-edge-solver gate: a bisection outside loop_shell.rs and stimulus.rs —"
+  echo "find output edges with loop_shell::solve_crossing"
+  exit 1
+fi
+if grep -rnE '\bfn time_at_phase\b|\bstruct CosimStats\b' crates/sim/src; then
+  echo "one-edge-solver gate: time_at_phase or CosimStats is back — place reference"
+  echo "edges with FmStimulus::solve_phase and count work in WorkStats"
+  exit 1
+fi
+
 # Every engine places reference edges by the stimulus's exact phase
 # inverse (FmStimulus::solve_phase). The bracket-safeguarded Newton it
 # replaced survives only as the test reference in stimulus.rs, and so
