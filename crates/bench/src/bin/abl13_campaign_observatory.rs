@@ -355,7 +355,6 @@ fn main() {
             stall_floor_secs: 0.005,
             stall_multiple: 0.0,
             dump_path: Some(stall_flight.clone()),
-            ..ObservatoryConfig::default()
         },
     );
     stalled.on_claim(0, 0);

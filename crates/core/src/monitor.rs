@@ -35,6 +35,11 @@ use pllbist_sim::PllEngine;
 use pllbist_telemetry::{span, Collector, Record, TelemetryConfig};
 use std::f64::consts::TAU;
 
+/// Fraction of a modulation period before the input peak in which an
+/// output peak is still accepted (protects the in-band, near-zero-lag
+/// points against edge jitter).
+const PEAK_GUARD_FRACTION: f64 = 0.05;
+
 /// Which FM approximation drives the reference (the fig. 11/12
 /// comparison).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -105,10 +110,6 @@ pub struct MonitorSettings {
     /// Tap point (fig. 6): `true` counts the divided output, `false` the
     /// full-rate VCO.
     pub count_divided_output: bool,
-    /// Fraction of a modulation period before the input peak in which an
-    /// output peak is still accepted (protects the in-band, near-zero-lag
-    /// points against edge jitter).
-    pub peak_guard_fraction: f64,
     /// Whether to record the Table 2 sequencer transcript into
     /// [`MonitorResult::transcript`]. On in [`paper`](Self::paper) (the
     /// transcript *is* the paper's Table 2 artefact), off in
@@ -137,7 +138,6 @@ impl MonitorSettings {
             test_clock_hz: 1e6,
             gate_cycles: 200,
             count_divided_output: false,
-            peak_guard_fraction: 0.05,
             capture_transcript: true,
         }
     }
@@ -154,7 +154,6 @@ impl MonitorSettings {
             test_clock_hz: 1e6,
             gate_cycles: 100,
             count_divided_output: false,
-            peak_guard_fraction: 0.05,
             capture_transcript: false,
         }
     }
@@ -205,8 +204,10 @@ pub struct MonitorResult {
     /// The capture mode the sweep ran with (selects the estimator's
     /// response family).
     pub capture: CaptureMode,
-    /// Drained telemetry records (empty unless
-    /// `MonitorSettings::telemetry` is enabled): per-tone stage spans,
+    /// Drained telemetry records (empty unless telemetry was on: the
+    /// plan's [`CampaignPlan::telemetry`] for
+    /// [`TransferFunctionMonitor::measure`], the `telemetry` argument of
+    /// [`TransferFunctionMonitor::measure_device`]): per-tone stage spans,
     /// MFREQ/gate/hold counters, solver statistics, worker utilization.
     pub telemetry: Vec<Record>,
 }
@@ -473,8 +474,9 @@ impl TransferFunctionMonitor {
     ///   ([`PllEngine::restore`] is bit-exact) instead of re-locking.
     /// * **observed** — one claim and one outcome per tone (the nominal
     ///   reading is not a tone).
-    /// * **resume_from / sidecar** — ignored ([`PlanRun::in_memory`]): no
-    ///   file is opened or created until a tone outcome has a codec.
+    /// * **resume_from** — ignored ([`PlanRun::in_memory`]): no results
+    ///   file or lock sidecar is opened or created until a tone outcome
+    ///   has a codec.
     ///
     /// On a healthy device the surviving points and the transcript are
     /// bitwise identical across every supervision/checkpoint/observer/
@@ -634,7 +636,7 @@ impl TransferFunctionMonitor {
             if t_input_peak < now {
                 t_input_peak += t_mod;
             }
-            let guard = s.peak_guard_fraction * t_mod;
+            let guard = PEAK_GUARD_FRACTION * t_mod;
             let chunk = 1.0 / f_ref; // MFREQ resolution: one reference cycle
             let deadline = t_input_peak + 3.0 * t_mod;
             let mut detector = PeakDetector::new();
@@ -1127,7 +1129,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(path.with_extension("ckpt"));
         let plain = monitor.measure(&plan_at(&cfg, 2));
-        let resumed = monitor.measure(&plan_at(&cfg, 2).resume_from(&path).sidecar(true));
+        let resumed = monitor.measure(&plan_at(&cfg, 2).resume_from(&path));
         // Debug renders every f64 round-trip exactly: equal text, equal bits.
         let bits = |r: &SupervisedMonitorResult| {
             format!("{:?} {:?} {:?}", r.nominal, r.points, r.transcript)

@@ -552,7 +552,9 @@ mod tests {
         let cfg = PllConfig::paper_table3();
         let freqs = [2.0, 8.0, 20.0];
         let path = std::env::temp_dir().join("pllbist_bench_resumable_inline.jsonl");
+        let sidecar = path.with_extension("ckpt");
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&sidecar);
         let resumable = serial_plan(&cfg)
             .supervised(SupervisorPolicy::default())
             .resume_from(&path);
@@ -570,7 +572,25 @@ mod tests {
         let again = run_sweep(&resumable, &freqs, &quick()).expect("resume");
         assert_eq!(again.points, run.points);
         assert_eq!(std::fs::read_to_string(&path).expect("results file"), first);
+        // Cut back to a one-point prefix, the run restores its lock from
+        // the sidecar next to the file instead of settling again.
+        let prefix: String = first.lines().take(3).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, prefix).expect("cut results file");
+        let resumed = run_sweep(
+            &resumable.clone().telemetry(TelemetryConfig::enabled()),
+            &freqs,
+            &quick(),
+        )
+        .expect("resume from prefix");
+        let sidecar_hits = resumed.telemetry.iter().find_map(|r| match r {
+            Record::Counter { name, value } if name == "campaign.sidecar_hits" => Some(*value),
+            _ => None,
+        });
+        assert_eq!(sidecar_hits, Some(1));
+        assert_eq!(resumed.points, run.points);
+        assert_eq!(std::fs::read_to_string(&path).expect("results file"), first);
         std::fs::remove_file(&path).expect("cleanup");
+        std::fs::remove_file(&sidecar).expect("cleanup sidecar");
     }
 
     #[test]
@@ -622,6 +642,7 @@ mod tests {
             .expect_err("cross-engine resume must be refused");
         assert!(matches!(err, CampaignError::HeaderMismatch { .. }), "{err}");
         std::fs::remove_file(&path).expect("cleanup");
+        std::fs::remove_file(path.with_extension("ckpt")).expect("cleanup sidecar");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Resumable campaign runs: an append-only JSONL results file with a
 //! config digest and a completed-point bitmap.
 //!
-//! A 10⁶-point (Kd, Kvco, Icp, filter, N) campaign (ROADMAP items 2/5)
-//! that dies at point 900 001 must not recompute the first 900 000.
+//! A 10⁶-point (Kd, Kvco, Icp, filter, N) campaign that dies at point
+//! 900 001 must not recompute the first 900 000.
 //! This module streams each completed point — healthy *or* quarantined —
 //! as one JSONL record to a results file, and on restart loads that file,
 //! skips every completed point and recomputes only the rest, such that

@@ -381,7 +381,9 @@ pub struct LoopState<S> {
     next_ref_edge: f64,
     /// The unjittered time of the pending reference edge — the edge
     /// *sequence* advances on the ideal grid; jitter only moves each
-    /// edge's emission time.
+    /// edge's emission time. A jittered edge kept across a stimulus
+    /// switch after its ideal time holds the switch time instead: the
+    /// edge after it is scheduled from there.
     next_ref_edge_ideal: f64,
     /// Offset making the reference phase continuous across stimulus
     /// switches: ref_phase(t) = stim_phase_base + stimulus.phase_cycles(t).
@@ -541,15 +543,21 @@ impl<I: Integrator> LoopShell<I> {
     /// rescheduled at once), so its integer phase target, read back from
     /// its ideal time, carries over: an edge just past the switch is
     /// still emitted, even inside the scheduler's guard below the integer.
+    /// A jittered edge whose ideal time is already past keeps its drawn
+    /// emission time; the edge after it is scheduled from the switch,
+    /// whose phase lies between the two edges' integers.
     pub fn set_stimulus(&mut self, stimulus: FmStimulus) {
         let current = self.reference_phase_cycles();
-        let pending = (self.st.stim_phase_base
-            + self.st.stimulus.phase_cycles(self.st.next_ref_edge_ideal))
-        .round();
+        let ideal = self.st.next_ref_edge_ideal;
+        let pending = (ideal > self.st.t)
+            .then(|| (self.st.stim_phase_base + self.st.stimulus.phase_cycles(ideal)).round());
         self.st.stimulus = stimulus;
         self.st.stim_phase_base = current - self.st.stimulus.phase_cycles(self.st.t);
         self.ref_cursor = None;
-        self.schedule_next_ref_edge(self.st.t, Some(pending));
+        match pending {
+            Some(k) => self.schedule_next_ref_edge(self.st.t, Some(k)),
+            None => self.st.next_ref_edge_ideal = self.st.t,
+        }
     }
 
     /// Accumulated reference phase in cycles (continuous across stimulus
@@ -1284,6 +1292,27 @@ pub(crate) mod tests {
                     let mut pll = Engine::new_locked(&cfg);
                     pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
                     pll.advance_to(0.0503);
+                    let edge = pll.st.next_ref_edge;
+                    assert_switch_keeps_pending_edge(&mut pll, edge);
+                }
+
+                #[test]
+                fn stimulus_switch_keeps_a_jittered_pending_edge() {
+                    // A jittered edge can be emitted after its ideal time;
+                    // the switch falls between the two.
+                    let cfg = PllConfig::paper_table3();
+                    let mut pll = Engine::new_locked(&cfg);
+                    pll.set_noise(Some(NoiseConfig {
+                        ref_edge_jitter_rms: 1e-4,
+                        fb_edge_jitter_rms: 0.0,
+                        seed: 0,
+                    }));
+                    pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
+                    pll.advance_to(0.0503);
+                    while pll.st.next_ref_edge.next_down() <= pll.st.next_ref_edge_ideal {
+                        let edge = pll.st.next_ref_edge;
+                        pll.advance_to(edge);
+                    }
                     let edge = pll.st.next_ref_edge;
                     assert_switch_keeps_pending_edge(&mut pll, edge);
                 }

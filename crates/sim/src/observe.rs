@@ -33,11 +33,12 @@ use crate::supervisor::{Incident, IncidentAction, PointOutcome};
 use pllbist_telemetry::progress::{CampaignProgress, ProgressBoard};
 use pllbist_telemetry::recorder::{FlightEventKind, FlightRecorder, NO_POINT};
 
+/// Flight-recorder ring capacity (events kept) of every observer.
+const RECORDER_CAPACITY: usize = 512;
+
 /// Knobs for one campaign's observer.
 #[derive(Clone, Debug)]
 pub struct ObservatoryConfig {
-    /// Flight-recorder ring capacity (events kept).
-    pub recorder_capacity: usize,
     /// Stall threshold as a multiple of the median point wall time.
     pub stall_multiple: f64,
     /// Stall threshold floor in seconds (guards the early phase, when
@@ -51,7 +52,6 @@ pub struct ObservatoryConfig {
 impl Default for ObservatoryConfig {
     fn default() -> Self {
         Self {
-            recorder_capacity: 512,
             stall_multiple: 16.0,
             stall_floor_secs: 10.0,
             dump_path: None,
@@ -86,7 +86,7 @@ impl CampaignObserver {
     pub fn new(total: usize, workers: usize, config: ObservatoryConfig) -> Self {
         let observer = Self {
             board: ProgressBoard::new(total, workers, ERROR_KINDS),
-            recorder: FlightRecorder::new(config.recorder_capacity),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY),
             config,
             stall_dumped: AtomicBool::new(false),
             finished: AtomicBool::new(false),
@@ -371,7 +371,6 @@ mod tests {
                 stall_floor_secs: 0.0,
                 stall_multiple: 0.0,
                 dump_path: Some(path.clone()),
-                ..ObservatoryConfig::default()
             },
         );
         observer.on_claim(0, 0);

@@ -82,7 +82,8 @@ impl Scheduler {
 
 /// A complete, self-contained description of one sweep campaign:
 /// engine backend, configuration, lock-settle wait, checkpoint reuse,
-/// supervision, scheduling, resume file and observer.
+/// supervision, scheduling, resume file (with its lock sidecar) and
+/// observer.
 ///
 /// Construct with [`CampaignPlan::new`] and chain the builder methods;
 /// execute it on the one plan entry, [`crate::scenario::run_plan`],
@@ -94,7 +95,6 @@ pub struct CampaignPlan<E: PllEngine = CpPll> {
     config: PllConfig,
     lock_settle_secs: Option<f64>,
     checkpoint: bool,
-    sidecar: bool,
     supervision: Option<SupervisorPolicy>,
     scheduler: Scheduler,
     resume_path: Option<PathBuf>,
@@ -109,7 +109,6 @@ impl<E: PllEngine> Clone for CampaignPlan<E> {
             config: self.config.clone(),
             lock_settle_secs: self.lock_settle_secs,
             checkpoint: self.checkpoint,
-            sidecar: self.sidecar,
             supervision: self.supervision.clone(),
             scheduler: self.scheduler,
             resume_path: self.resume_path.clone(),
@@ -126,7 +125,6 @@ impl<E: PllEngine> std::fmt::Debug for CampaignPlan<E> {
             .field("backend", &E::backend_name())
             .field("lock_settle_secs", &self.lock_settle_secs)
             .field("checkpoint", &self.checkpoint)
-            .field("sidecar", &self.sidecar)
             .field("supervision", &self.supervision)
             .field("scheduler", &self.scheduler)
             .field("resume_path", &self.resume_path)
@@ -153,7 +151,6 @@ impl CampaignPlan<CpPll> {
             config,
             lock_settle_secs: None,
             checkpoint: true,
-            sidecar: false,
             supervision: None,
             scheduler: Scheduler::default(),
             resume_path: None,
@@ -175,7 +172,6 @@ impl<E: PllEngine> CampaignPlan<E> {
             config: self.config,
             lock_settle_secs: self.lock_settle_secs,
             checkpoint: self.checkpoint,
-            sidecar: self.sidecar,
             supervision: self.supervision,
             scheduler: self.scheduler,
             resume_path: self.resume_path,
@@ -209,19 +205,6 @@ impl<E: PllEngine> CampaignPlan<E> {
         self
     }
 
-    /// Persist the settled lock snapshot to a checkpoint sidecar next to
-    /// the resume file (`campaign.jsonl` → `campaign.ckpt`), so a
-    /// resumed run skips the settle transient entirely (default
-    /// `false`). Requires both [`checkpoint`](Self::checkpoint) and
-    /// [`resume_from`](Self::resume_from); a missing, foreign or torn
-    /// sidecar silently falls back to re-settling. Restores are
-    /// bit-exact, so this changes wall-clock time only, never results —
-    /// and is therefore *not* in the digest.
-    pub fn sidecar(mut self, on: bool) -> Self {
-        self.sidecar = on;
-        self
-    }
-
     /// Runs every point under the sweep supervisor: guardrails, panic
     /// isolation, deterministic quarantine-and-retry per `policy`.
     /// Result-affecting on sick devices (retries are part of the
@@ -248,6 +231,13 @@ impl<E: PllEngine> CampaignPlan<E> {
     /// Attaches a resumable results file: completed points load from
     /// `path` and newly computed points stream to it, so a killed
     /// campaign restarts where it left off (see [`crate::campaign`]).
+    ///
+    /// A checkpointed plan with a results file also keeps its settled
+    /// lock snapshot in a [`crate::sidecar::LockSidecar`] next to it
+    /// (`campaign.jsonl` → `campaign.ckpt`), so a resumed run skips the
+    /// settle transient. A missing, foreign or torn sidecar falls back
+    /// to re-settling, and restores are bit-exact: the sidecar changes
+    /// wall-clock time only, never results.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_path = Some(path.into());
         self
@@ -287,12 +277,6 @@ impl<E: PllEngine> CampaignPlan<E> {
     /// Whether the sweep reuses one settled lock snapshot.
     pub fn checkpoint_enabled(&self) -> bool {
         self.checkpoint
-    }
-
-    /// Whether the settled lock snapshot is persisted to (and resumed
-    /// from) a checkpoint sidecar.
-    pub fn sidecar_enabled(&self) -> bool {
-        self.sidecar
     }
 
     /// The supervision policy, if supervision is on.
@@ -513,7 +497,6 @@ mod tests {
         let plan = CampaignPlan::new(PllConfig::paper_table3())
             .engine::<EventDrivenCpPll>()
             .checkpoint(false)
-            .sidecar(true)
             .supervised(policy.clone())
             .scheduler(Scheduler::WorkStealing { threads: 8 })
             .resume_from("campaign.jsonl")
@@ -521,7 +504,6 @@ mod tests {
             .telemetry(TelemetryConfig::enabled());
         assert_eq!(plan.backend(), "event_driven");
         assert!(!plan.checkpoint_enabled());
-        assert!(plan.sidecar_enabled());
         assert_eq!(plan.supervision(), Some(&policy));
         assert_eq!(plan.schedule().threads(), 8);
         assert_eq!(
@@ -535,7 +517,6 @@ mod tests {
         let plain = CampaignPlan::new(PllConfig::paper_table3());
         assert_eq!(plain.backend(), "cp_pll");
         assert!(plain.checkpoint_enabled());
-        assert!(!plain.sidecar_enabled());
         assert!(plain.supervision().is_none());
         assert_eq!(plain.schedule(), Scheduler::WorkStealing { threads: 0 });
         assert_eq!(Scheduler::Serial.threads(), 1);
@@ -549,7 +530,6 @@ mod tests {
         // Scheduling knobs never change results → never change the digest.
         let rescheduled = CampaignPlan::new(cfg.clone())
             .checkpoint(false)
-            .sidecar(true)
             .scheduler(Scheduler::Serial)
             .telemetry(TelemetryConfig::enabled())
             .resume_from("x.jsonl")

@@ -383,8 +383,8 @@ pub struct PlanRun<'p, E: PllEngine, C: PointCodec> {
 
 impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
     /// [`in_memory`](Self::in_memory), plus the plan's resume file
-    /// (digest = [`CampaignPlan::digest`] over `workload_salt`) and
-    /// sidecar when it names them.
+    /// (digest = [`CampaignPlan::digest`] over `workload_salt`) and the
+    /// lock sidecar next to it, when the plan names one.
     ///
     /// # Errors
     ///
@@ -401,16 +401,15 @@ impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
         if let Some(path) = plan.resume_path() {
             let digest = plan.digest(f_mod_hz, workload_salt);
             let log = CampaignLog::open(path, codec, digest.clone(), f_mod_hz.len())?;
-            let sidecar = LockSidecar::for_results_file(path, digest);
             run.log = Some(log);
-            run.sidecar = plan.sidecar_enabled().then_some(sidecar);
+            run.sidecar = Some(LockSidecar::for_results_file(path, digest));
         }
         Ok(run)
     }
 
     /// Checks the configuration against the engine
     /// ([`PllEngine::check_class`]) and builds the run's collector. The
-    /// plan's `resume_from`/`sidecar` are ignored: nothing touches the
+    /// plan's `resume_from` is ignored: nothing touches the
     /// disk (for outcomes that have no [`PointCodec`] yet).
     ///
     /// # Errors

@@ -77,8 +77,36 @@ const SERVE_BIN: &str = "serve";
 const EVENT_RECORD: &str = "job.event";
 /// Submission spec record name.
 const SPEC_RECORD: &str = "job.spec";
-/// Backends the service can instantiate.
-const SERVABLE_BACKENDS: [&str; 3] = ["cp_pll", "event_driven", "closed_form"];
+/// A servable backend: its tag, its class check and its attempt.
+type Backend = (
+    fn() -> &'static str,
+    fn(&PllConfig) -> Result<(), OutOfClass>,
+    fn(&ServiceState, &Path, &JobSpec, u32) -> Result<String, AttemptError>,
+);
+
+/// Backends the service can instantiate: the one list of them.
+static BACKENDS: [Backend; 3] = [
+    (
+        CpPll::backend_name,
+        CpPll::check_class,
+        execute_attempt::<CpPll>,
+    ),
+    (
+        EventDrivenCpPll::backend_name,
+        EventDrivenCpPll::check_class,
+        execute_attempt::<EventDrivenCpPll>,
+    ),
+    (
+        ClosedFormPll::backend_name,
+        ClosedFormPll::check_class,
+        execute_attempt::<ClosedFormPll>,
+    ),
+];
+
+/// The servable backend tagged `name`.
+fn servable(name: &str) -> Option<&'static Backend> {
+    BACKENDS.iter().find(|(tag, ..)| tag() == name)
+}
 
 // ---------------------------------------------------------------------------
 // Point codec
@@ -572,9 +600,10 @@ impl JobSpec {
     /// A human-readable reason (surfaced as the 400 body) when the
     /// header or spec line is missing or malformed, the digest is not
     /// 16 lowercase hex characters (it names a directory — this is the
-    /// path-traversal guard), the backend is not servable, the grid is
-    /// empty / non-finite / non-positive / has duplicate bit patterns,
-    /// or the point count disagrees with the grid. The runner keys
+    /// path-traversal guard), the backend is not servable or cannot run
+    /// the config ([`PllEngine::check_class`]), the grid is empty /
+    /// non-finite / non-positive / has duplicate bit patterns, or the
+    /// point count disagrees with the grid. The runner keys
     /// captures and faults by grid index, so a repeated frequency would
     /// run; it is refused here as outside input that measures one tone
     /// twice, which is a client mistake rather than a campaign.
@@ -593,15 +622,12 @@ impl JobSpec {
             return Err("digest must be 16 lowercase hex characters".to_string());
         }
         let backend = json_str_field(&header, "backend").ok_or("header missing backend")?;
-        if !SERVABLE_BACKENDS.contains(&backend.as_str()) {
-            return Err(format!("backend \"{backend}\" is not servable"));
-        }
+        let (_, check_class, _) =
+            servable(&backend).ok_or_else(|| format!("backend \"{backend}\" is not servable"))?;
         let points = json_u64_field(&header, "points").ok_or("header missing points")?;
         let config_wire = json_str_field(spec_line, "config").ok_or("spec missing config")?;
         let config = config_from_wire(&config_wire).ok_or("malformed config")?;
-        if backend == EventDrivenCpPll::backend_name() {
-            OutOfClass::check(&config).map_err(|e| e.to_string())?;
-        }
+        check_class(&config).map_err(|e| e.to_string())?;
         let grid_wire = json_str_field(spec_line, "grid").ok_or("spec missing grid")?;
         let grid: Vec<f64> = grid_wire
             .split(',')
@@ -1336,11 +1362,12 @@ fn dispatch_attempt(
     spec: &JobSpec,
     attempt: u32,
 ) -> Result<String, AttemptError> {
-    match spec.backend.as_str() {
-        "cp_pll" => execute_attempt::<CpPll>(state, dir, spec, attempt),
-        "event_driven" => execute_attempt::<EventDrivenCpPll>(state, dir, spec, attempt),
-        "closed_form" => execute_attempt::<ClosedFormPll>(state, dir, spec, attempt),
-        other => Err(AttemptError::Fatal(format!("unknown backend \"{other}\""))),
+    match servable(&spec.backend) {
+        Some((_, _, execute)) => execute(state, dir, spec, attempt),
+        None => Err(AttemptError::Fatal(format!(
+            "unknown backend \"{}\"",
+            spec.backend
+        ))),
     }
 }
 
@@ -1368,7 +1395,6 @@ fn execute_attempt<E: PllEngine>(
             threads: spec.threads,
         })
         .resume_from(&results)
-        .sidecar(true)
         .observed(Arc::clone(&observer))
         .telemetry(TelemetryConfig::enabled());
     let run = PlanRun::open(&plan, &spec.grid, VoltsCodec, &spec.salt).map_err(|e| match e {

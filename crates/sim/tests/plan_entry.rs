@@ -124,8 +124,7 @@ fn out_of_class_plan_is_refused_before_any_settle_or_file() {
     let plan = CampaignPlan::new(curved.clone())
         .engine::<EventDrivenCpPll>()
         .supervised(SupervisorPolicy::default())
-        .resume_from(&results)
-        .sidecar(true);
+        .resume_from(&results);
     let err = run_plan(
         &plan,
         &GRID,

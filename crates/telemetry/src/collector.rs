@@ -27,8 +27,6 @@ use crate::TelemetryConfig;
 #[derive(Default)]
 struct State {
     spans: Vec<Record>,
-    /// Per-span-name occurrence counts, for `sample_every` decimation.
-    span_seen: BTreeMap<String, u64>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, Histogram>,
@@ -36,7 +34,6 @@ struct State {
 
 struct Inner {
     epoch: Instant,
-    sample_every: u64,
     state: Mutex<State>,
 }
 
@@ -81,18 +78,11 @@ impl Collector {
         Self { inner: None }
     }
 
-    /// An active collector recording every span (`sample_every = 1`).
+    /// An active collector recording every span.
     pub fn enabled() -> Self {
-        Self::with_sampling(1)
-    }
-
-    /// An active collector recording every Nth span per span name.
-    /// `sample_every = 0` is treated as 1.
-    pub fn with_sampling(sample_every: u64) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                sample_every: sample_every.max(1),
                 state: Mutex::new(State::default()),
             })),
         }
@@ -101,7 +91,7 @@ impl Collector {
     /// Builds a collector from the plain-data config knob.
     pub fn from_config(config: &TelemetryConfig) -> Self {
         if config.enabled {
-            Self::with_sampling(config.sample_every)
+            Self::enabled()
         } else {
             Self::disabled()
         }
@@ -216,7 +206,6 @@ impl Collector {
                 });
             }
         }
-        state.span_seen.clear();
         out
     }
 }
@@ -282,21 +271,15 @@ impl Drop for SpanGuard {
             d.set(v);
             v
         });
-        let mut state = span.inner.state.lock().unwrap();
-        let seen = state.span_seen.entry(span.name.to_string()).or_insert(0);
-        *seen += 1;
-        // Keep the 1st, (N+1)th, (2N+1)th … occurrence per name.
-        if (*seen - 1) % span.inner.sample_every != 0 {
-            return;
-        }
-        state.spans.push(Record::Span {
+        let record = Record::Span {
             name: span.name.to_string(),
             thread: thread_label(),
             depth,
             t_ns,
             dur_ns,
             fields: span.fields,
-        });
+        };
+        span.inner.state.lock().unwrap().spans.push(record);
     }
 }
 
@@ -435,28 +418,6 @@ mod tests {
             }
             other => panic!("expected hist, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth_span_per_name() {
-        let tel = Collector::with_sampling(3);
-        for _ in 0..7 {
-            let _g = span!(tel, "tick");
-        }
-        for _ in 0..2 {
-            let _g = span!(tel, "other");
-        }
-        let records = tel.drain();
-        let ticks = records
-            .iter()
-            .filter(|r| matches!(r, Record::Span { name, .. } if name == "tick"))
-            .count();
-        let others = records
-            .iter()
-            .filter(|r| matches!(r, Record::Span { name, .. } if name == "other"))
-            .count();
-        assert_eq!(ticks, 3, "occurrences 1, 4, 7 of 7");
-        assert_eq!(others, 1, "occurrence 1 of 2");
     }
 
     #[test]

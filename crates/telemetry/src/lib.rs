@@ -21,9 +21,8 @@
 //! * **results** — the headline numbers a bench binary produces, so a
 //!   run is machine-checkable without scraping its stdout tables.
 //!
-//! Every record serialises to one JSON line (hand-rolled writer, schema
-//! documented on [`Record`]) and to a human-readable table
-//! ([`render_table`]). A disabled collector ([`Collector::disabled`])
+//! Every record serialises to one JSON line (hand-rolled writer
+//! [`to_jsonl`], schema documented on [`Record`]). A disabled collector ([`Collector::disabled`])
 //! reduces every operation to an `Option` check on an `Arc` — no clock
 //! reads, no allocation, no locks — which is what makes the
 //! `enabled = false` default free enough to thread through the hot
@@ -61,54 +60,33 @@ pub use hist::Histogram;
 pub use json::{json_bool_field, json_f64_field, json_str_field, json_u64_field};
 pub use ledger::{LedgerRecord, LEDGER_SCHEMA};
 pub use progress::{CampaignProgress, ProgressBoard, WorkerProgress};
-pub use record::{render_table, to_jsonl, Fields, Record, Value, SCHEMA_VERSION};
+pub use record::{to_jsonl, Fields, Record, Value, SCHEMA_VERSION};
 pub use recorder::{parse_dump, FlightEvent, FlightEventKind, FlightRecorder};
 pub use report::RunReport;
 
-/// Where drained telemetry records should go when a run finishes.
+/// The observability switch: `CampaignPlan::telemetry` in `pllbist-sim`
+/// and the telemetry argument of `TransferFunctionMonitor::measure_device`
+/// in `pllbist` take one.
 ///
-/// Plain data (no handles) so it can live inside `MonitorSettings` /
-/// `BenchSettings` and keep their `Clone`/`Debug`/`PartialEq` derives.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SinkConfig {
-    /// Keep records in memory only; the caller drains and drops them.
-    Null,
-    /// Render the record table to stdout at the end of the run.
-    Stdout,
-    /// Append records as JSON lines to this path.
-    JsonlPath(String),
-}
-
-/// The observability knob threaded through the sweep stacks.
+/// Plain data (no handles); [`Collector::from_config`] turns it into a
+/// collector. The caller drains the records and decides where they go
+/// (a bench binary hands them to its [`RunReport`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Master switch: `false` compiles the instrumentation down to a
     /// no-op collector (near-zero overhead).
     pub enabled: bool,
-    /// Where the records go when the owning run report finishes.
-    pub sink: SinkConfig,
-    /// Record every Nth span per span name (1 = every span). Counters,
-    /// gauges and histograms are aggregates and are never sampled.
-    pub sample_every: u64,
 }
 
 impl TelemetryConfig {
     /// Telemetry off (the default for library settings constructors).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            sink: SinkConfig::Null,
-            sample_every: 1,
-        }
+        Self { enabled: false }
     }
 
     /// Telemetry on, records kept in memory for the caller to drain.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            sink: SinkConfig::Null,
-            sample_every: 1,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -126,8 +104,6 @@ mod tests {
     fn config_defaults_are_off() {
         let cfg = TelemetryConfig::default();
         assert!(!cfg.enabled);
-        assert_eq!(cfg.sink, SinkConfig::Null);
-        assert_eq!(cfg.sample_every, 1);
         assert_eq!(cfg, TelemetryConfig::disabled());
         assert!(TelemetryConfig::enabled().enabled);
     }

@@ -1,5 +1,4 @@
-//! Telemetry records and their two stable renderings: JSON lines for
-//! machines, an aligned table for humans.
+//! Telemetry records and their one stable rendering: JSON lines.
 //!
 //! The JSONL field names are a **contract** — external tooling parses
 //! them — and are pinned by the `jsonl_schema_snapshot` test below. Add
@@ -75,16 +74,6 @@ impl Value {
             }
             Value::F64(v) => write_json_f64(out, *v),
             Value::Str(s) => write_json_str(out, s),
-        }
-    }
-
-    fn render(&self) -> String {
-        match self {
-            Value::Bool(b) => b.to_string(),
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => format!("{v:.6}"),
-            Value::Str(s) => s.clone(),
         }
     }
 }
@@ -325,106 +314,6 @@ pub fn to_jsonl(records: &[Record]) -> String {
     out
 }
 
-fn render_fields(fields: &Fields) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", v.render()))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-fn format_ns(ns: u64) -> String {
-    let secs = ns as f64 * 1e-9;
-    if secs >= 1.0 {
-        format!("{secs:.3} s")
-    } else if secs >= 1e-3 {
-        format!("{:.3} ms", secs * 1e3)
-    } else if secs >= 1e-6 {
-        format!("{:.3} µs", secs * 1e6)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-/// Renders records as a human-readable report (spans first, then
-/// metrics, then results).
-pub fn render_table(records: &[Record]) -> String {
-    let mut spans = String::new();
-    let mut metrics = String::new();
-    let mut results = String::new();
-    for r in records {
-        match r {
-            Record::Run { bin, schema } => {
-                let _ = writeln!(metrics, " run          {bin} (schema v{schema})");
-            }
-            Record::Span {
-                name,
-                thread,
-                depth,
-                dur_ns,
-                fields,
-                ..
-            } => {
-                let indent = "  ".repeat(*depth as usize);
-                let _ = writeln!(
-                    spans,
-                    " {indent}{name:<30} {:>12}  [{thread}] {}",
-                    format_ns(*dur_ns),
-                    render_fields(fields)
-                );
-            }
-            Record::Counter { name, value } => {
-                let _ = writeln!(metrics, " counter      {name:<34} {value}");
-            }
-            Record::Gauge { name, value } => {
-                let _ = writeln!(metrics, " gauge        {name:<34} {value:.6}");
-            }
-            Record::Hist {
-                name,
-                count,
-                min,
-                max,
-                p50,
-                p90,
-                p99,
-            } => {
-                let _ = writeln!(
-                    metrics,
-                    " hist         {name:<34} n={count} min={min:.3e} p50={p50:.3e} \
-                     p90={p90:.3e} p99={p99:.3e} max={max:.3e}"
-                );
-            }
-            Record::Result { name, fields } => {
-                let _ = writeln!(
-                    results,
-                    " result       {name:<34} {}",
-                    render_fields(fields)
-                );
-            }
-            Record::Campaign { digest, points } => {
-                let _ = writeln!(metrics, " campaign     digest={digest} points={points}");
-            }
-        }
-    }
-    let mut out = String::new();
-    if !spans.is_empty() {
-        out.push_str("spans:\n");
-        out.push_str(&spans);
-    }
-    if !metrics.is_empty() {
-        out.push_str("metrics:\n");
-        out.push_str(&metrics);
-    }
-    if !results.is_empty() {
-        out.push_str("results:\n");
-        out.push_str(&results);
-    }
-    if out.is_empty() {
-        out.push_str("(no telemetry records)\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,70 +407,5 @@ mod tests {
             value: f64::INFINITY,
         };
         assert!(r.to_json().ends_with("\"value\":null}"));
-    }
-
-    #[test]
-    fn table_renders_every_record_kind() {
-        let records = vec![
-            Record::Run {
-                bin: "x".into(),
-                schema: 1,
-            },
-            Record::Span {
-                name: "a.b".into(),
-                thread: "main".into(),
-                depth: 0,
-                t_ns: 0,
-                dur_ns: 2_500_000,
-                fields: fields![k = 1u64],
-            },
-            Record::Counter {
-                name: "c".into(),
-                value: 7,
-            },
-            Record::Gauge {
-                name: "g".into(),
-                value: 1.25,
-            },
-            Record::Hist {
-                name: "h".into(),
-                count: 2,
-                min: 0.5,
-                max: 1.5,
-                p50: 1.0,
-                p90: 1.4,
-                p99: 1.5,
-            },
-            Record::Result {
-                name: "r".into(),
-                fields: fields![ok = true],
-            },
-            Record::Campaign {
-                digest: "deadbeefdeadbeef".into(),
-                points: 12,
-            },
-        ];
-        let table = render_table(&records);
-        for needle in [
-            "spans:",
-            "metrics:",
-            "results:",
-            "a.b",
-            "2.500 ms",
-            "k=1",
-            "ok=true",
-            "digest=deadbeefdeadbeef points=12",
-        ] {
-            assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
-        }
-        assert_eq!(render_table(&[]), "(no telemetry records)\n");
-    }
-
-    #[test]
-    fn duration_formatting_scales() {
-        assert_eq!(format_ns(12), "12 ns");
-        assert_eq!(format_ns(2_500), "2.500 µs");
-        assert_eq!(format_ns(2_500_000), "2.500 ms");
-        assert_eq!(format_ns(2_500_000_000), "2.500 s");
     }
 }

@@ -8,11 +8,11 @@
 
 use std::io::Write as _;
 
-use crate::record::{Fields, Record, SCHEMA_VERSION};
-use crate::{Collector, SinkConfig, TelemetryConfig};
+use crate::record::{to_jsonl, Fields, Record, SCHEMA_VERSION};
+use crate::{Collector, TelemetryConfig};
 
-/// Accumulates a bench run's records and flushes them to the configured
-/// sink on [`finish`](Self::finish).
+/// Accumulates a bench run's records and writes them to the `--jsonl`
+/// path on [`finish`](Self::finish).
 pub struct RunReport {
     bin: &'static str,
     jsonl_path: Option<String>,
@@ -53,16 +53,12 @@ impl RunReport {
         self.ledger_path = path;
     }
 
-    /// Telemetry knob for settings structs: enabled iff the run wants
-    /// JSONL output, pointing at the same path.
+    /// Telemetry switch for the run's plans: on iff the run wants JSONL
+    /// output (the drained records come back through
+    /// [`absorb`](Self::absorb) or [`extend`](Self::extend)).
     pub fn telemetry_config(&self) -> TelemetryConfig {
-        match &self.jsonl_path {
-            Some(path) => TelemetryConfig {
-                enabled: true,
-                sink: SinkConfig::JsonlPath(path.clone()),
-                sample_every: 1,
-            },
-            None => TelemetryConfig::disabled(),
+        TelemetryConfig {
+            enabled: self.wants_jsonl(),
         }
     }
 
@@ -97,19 +93,14 @@ impl RunReport {
         let Some(path) = &self.jsonl_path else {
             return Ok(());
         };
-        let mut out = Vec::new();
         let header = Record::Run {
             bin: self.bin.to_string(),
             schema: SCHEMA_VERSION,
         };
-        out.extend_from_slice(header.to_json().as_bytes());
-        out.push(b'\n');
-        for r in &self.records {
-            out.extend_from_slice(r.to_json().as_bytes());
-            out.push(b'\n');
-        }
+        let mut out = to_jsonl(&[header]);
+        out.push_str(&to_jsonl(&self.records));
         let mut file = std::fs::File::create(path)?;
-        file.write_all(&out)?;
+        file.write_all(out.as_bytes())?;
         file.flush()?;
         if let Some(ledger) = &self.ledger_path {
             let metrics = crate::ledger::metrics_from_records(&self.records);

@@ -162,6 +162,19 @@ if grep -rnI --exclude-dir=target 'StatusServer' crates src tests examples; then
   exit 1
 fi
 
+# Execution options that no caller set to a second value are gone: the
+# telemetry config is one switch, the lock sidecar follows the results
+# file, and the flight-recorder capacity and the peak guard are
+# constants. This gate keeps them gone: one of these names back in the
+# sources means an option returned without a caller that needs it.
+echo "==> unread-option gate (no SinkConfig / sample_every / with_sampling / render_table / fn sidecar( / recorder_capacity / peak_guard_fraction)"
+unread='\bSinkConfig\b|\bsample_every\b|\bwith_sampling\b|\brender_table\b|\bfn sidecar\(|\brecorder_capacity\b|\bpeak_guard_fraction\b'
+if grep -rnE --include='*.rs' --exclude-dir=target "$unread" crates/*/src src; then
+  echo "unread-option gate: an option with one value is back — make it a"
+  echo "constant, or derive it from the option that decides it"
+  exit 1
+fi
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 
