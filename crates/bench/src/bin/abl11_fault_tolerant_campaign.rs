@@ -205,8 +205,8 @@ fn main() {
         &detuned.incidents,
         &mut report,
     );
-    // Every point retries the full policy budget before quarantine.
-    let want_retries = tones.len() * policy.max_retries as usize;
+    // Every point climbs the full retry ladder before quarantine.
+    let want_retries = tones.len() * SupervisorPolicy::MAX_RETRIES as usize;
     tally(
         r,
         detuned.ok_count() != 0 || !detuned_typed || retried != want_retries,

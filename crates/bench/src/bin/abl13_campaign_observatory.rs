@@ -365,6 +365,8 @@ fn main() {
     assert!(parse_dump(&stall_dump)
         .iter()
         .any(|e| e.kind == FlightEventKind::Stall));
+    // Its `Drop` dumps the ring again: drop it before the cleanup below.
+    drop(stalled);
 
     // Resume the killed campaign: the file must converge to the
     // uninterrupted reference, and the resume's own dump must record the

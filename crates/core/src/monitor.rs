@@ -481,8 +481,8 @@ impl TransferFunctionMonitor {
     /// On a healthy device the surviving points and the transcript are
     /// bitwise identical across every supervision/checkpoint/observer/
     /// telemetry/thread-count combination. Retries are a pure function of
-    /// `(config, tone, policy)`, so failing campaigns replay incident for
-    /// incident.
+    /// `(config, tone)` on the fixed supervision ladder, so failing
+    /// campaigns replay incident for incident.
     ///
     /// # Panics
     ///

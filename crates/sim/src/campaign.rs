@@ -30,11 +30,14 @@
 //!   identity survives resume.
 //! * Workers complete points out of order under the work-stealing
 //!   scheduler; [`CampaignLog::record`] buffers out-of-order results and
-//!   flushes to disk **in index order**, one `write+flush` per line, so
-//!   a kill leaves at most one truncated trailing line — which the next
-//!   resume tolerates and rewrites. Completion is therefore always a
-//!   contiguous prefix on disk; [`CampaignLog::completed`] exposes it as
-//!   a per-point bitmap.
+//!   hands them to the OS **in index order**, one `write` per line, so
+//!   a killed process leaves at most one truncated trailing line — which
+//!   the next resume tolerates and rewrites. Completion is therefore
+//!   always a contiguous prefix on disk; [`CampaignLog::completed`]
+//!   exposes it as a per-point bitmap.
+//! * Lines reach the disk itself when [`CampaignLog::finish`] fsyncs the
+//!   file: a finished campaign survives an OS crash, not only a killed
+//!   process.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -331,7 +334,7 @@ pub type WriteFaultHook = Box<dyn Fn(usize) -> Option<InjectedWriteFault> + Send
 
 struct Writer {
     file: std::fs::File,
-    /// First index not yet flushed to disk.
+    /// First index not yet written to the file.
     next_flush: usize,
     /// Out-of-order completions waiting for their turn (encoded lines).
     pending: BTreeMap<usize, String>,
@@ -478,7 +481,6 @@ impl<C: PointCodec> CampaignLog<C> {
             head.push('\n');
         }
         file.write_all(head.as_bytes())?;
-        file.flush()?;
 
         Ok(Self {
             codec,
@@ -530,10 +532,11 @@ impl<C: PointCodec> CampaignLog<C> {
     /// Streams one newly computed point outcome.
     ///
     /// Callable from any worker thread; lines are buffered until every
-    /// lower index has been written, then flushed in index order (one
-    /// OS write + flush per line, so a kill loses at most the line in
-    /// flight). I/O errors are latched and surfaced by
-    /// [`finish`](Self::finish), not panicked mid-sweep.
+    /// lower index has been written, then written in index order (one
+    /// OS write per line, so a killed process loses at most the line in
+    /// flight; [`finish`](Self::finish) makes them durable). I/O errors
+    /// are latched and surfaced by [`finish`](Self::finish), not panicked
+    /// mid-sweep.
     pub fn record(&self, index: usize, outcome: &Result<C::Point, SweepPointError>) {
         let line = encode_point_line(&self.codec, index, outcome);
         let mut writer = match self.writer.lock() {
@@ -554,16 +557,10 @@ impl<C: PointCodec> CampaignLog<C> {
                     // Leave exactly the torn prefix on disk, then fail
                     // the flush the way a real short write would.
                     let torn = injected.torn_bytes.min(buf.len());
-                    let _ = writer
-                        .file
-                        .write_all(&buf[..torn])
-                        .and_then(|()| writer.file.flush());
+                    let _ = writer.file.write_all(&buf[..torn]);
                     Err(injected.error)
                 }
-                None => writer
-                    .file
-                    .write_all(&buf)
-                    .and_then(|()| writer.file.flush()),
+                None => writer.file.write_all(&buf),
             };
             if let Err(e) = wrote {
                 if writer.io_error.is_none() {
@@ -587,8 +584,9 @@ impl<C: PointCodec> CampaignLog<C> {
         writer.fault = hook;
     }
 
-    /// Surfaces any latched I/O error and verifies every point landed
-    /// (when `expect_complete`).
+    /// Surfaces any latched I/O error, verifies every point landed (when
+    /// `expect_complete`) and fsyncs the file, so an `Ok` means the
+    /// written lines survive an OS crash.
     pub fn finish(&self, expect_complete: bool) -> Result<(), CampaignError> {
         let mut writer = match self.writer.lock() {
             Ok(guard) => guard,
@@ -606,7 +604,7 @@ impl<C: PointCodec> CampaignLog<C> {
                 ),
             });
         }
-        Ok(())
+        writer.file.sync_all().map_err(CampaignError::Io)
     }
 }
 

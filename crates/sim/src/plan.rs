@@ -25,11 +25,13 @@
 //!
 //! A plan is also the campaign service's **submission payload**:
 //! [`CampaignPlan::header_line`] serialises everything result-affecting
-//! (config digest, grid size, engine backend, supervision policy) and
-//! [`CampaignPlan::from_header`] round-trips it, refusing backend or
-//! digest mismatches like a foreign results file. Scheduling knobs are
-//! **excluded from the digest**: they never change results, so a
-//! campaign killed on 16 threads may resume on 1.
+//! (config digest, grid size, engine backend, lock-settle override,
+//! whether supervision is on) and [`CampaignPlan::from_header`]
+//! round-trips it, refusing backend or digest mismatches like a foreign
+//! results file. The supervision ladder's thresholds are constants
+//! ([`SupervisorPolicy`]), so the header carries no threshold values.
+//! Scheduling knobs are **excluded from the digest**: they never change
+//! results, so a campaign killed on 16 threads may resume on 1.
 
 use crate::behavioral::CpPll;
 use crate::campaign::{
@@ -45,6 +47,14 @@ use pllbist_telemetry::TelemetryConfig;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// The digest salt's policy text for a supervised plan: the `Debug` form
+/// of [`SupervisorPolicy::default`] from when its thresholds were
+/// settable fields. Kept verbatim so results files, job ids and job
+/// directories written then still resume under the same digest.
+const SUPERVISED_SALT: &str = "SupervisorPolicy { max_retries: 2, retry_step_scale: 0.5, \
+     retry_settle_scale: 1.5, step_budget: 10000000, control_rails: None, \
+     rail_margin_fraction: 1e-9, rail_overshoot_fraction: 10.0, rail_streak_limit: 256 }";
 
 /// How sweep points are distributed over workers.
 ///
@@ -206,9 +216,10 @@ impl<E: PllEngine> CampaignPlan<E> {
     }
 
     /// Runs every point under the sweep supervisor: guardrails, panic
-    /// isolation, deterministic quarantine-and-retry per `policy`.
-    /// Result-affecting on sick devices (retries are part of the
-    /// outcome), so the policy is part of the digest.
+    /// isolation, deterministic quarantine-and-retry on the fixed
+    /// [`SupervisorPolicy`] ladder. Result-affecting on sick devices
+    /// (retries are part of the outcome), so supervision is part of the
+    /// digest.
     pub fn supervised(mut self, policy: SupervisorPolicy) -> Self {
         self.supervision = Some(policy);
         self
@@ -279,7 +290,7 @@ impl<E: PllEngine> CampaignPlan<E> {
         self.checkpoint
     }
 
-    /// The supervision policy, if supervision is on.
+    /// The supervision ladder, if supervision is on.
     pub fn supervision(&self) -> Option<&SupervisorPolicy> {
         self.supervision.as_ref()
     }
@@ -314,17 +325,17 @@ impl<E: PllEngine> CampaignPlan<E> {
     }
 
     /// The part of the digest salt the plan itself contributes: engine
-    /// backend, lock-settle override and supervision policy. Scheduling
+    /// backend, lock-settle override and supervision. Scheduling
     /// knobs (threads, checkpoint, telemetry, observer, resume path) are
     /// deliberately absent — they never change results.
     fn digest_salt(&self, workload_salt: &str) -> String {
         let settle = self
             .lock_settle_secs
             .map_or_else(|| "auto".to_string(), bits_hex);
-        let policy = self
-            .supervision
-            .as_ref()
-            .map_or_else(|| "none".to_string(), |p| format!("{p:?}"));
+        let policy = match self.supervision {
+            Some(_) => SUPERVISED_SALT,
+            None => "none",
+        };
         format!(
             "plan|{workload_salt}|engine:{}|settle:{settle}|policy:{policy}",
             E::backend_name()
@@ -343,7 +354,7 @@ impl<E: PllEngine> CampaignPlan<E> {
     /// existing `{"type":"campaign","digest":…,"points":…}` shape
     /// extended with the backend tag and every result-affecting plan
     /// option, each `f64` as its exact bit pattern. This is the
-    /// submission payload the campaign service front door will accept.
+    /// submission payload the campaign service front door accepts.
     pub fn header_line(&self, f_mod_hz: &[f64], workload_salt: &str) -> String {
         let mut line = format!(
             "{{\"type\":\"campaign\",\"digest\":\"{}\",\"points\":{},\"backend\":\"{}\",\"checkpoint\":{}",
@@ -355,32 +366,7 @@ impl<E: PllEngine> CampaignPlan<E> {
         if let Some(settle) = self.lock_settle_secs {
             line.push_str(&format!(",\"lock_settle_bits\":\"{}\"", bits_hex(settle)));
         }
-        match &self.supervision {
-            None => line.push_str(",\"supervised\":false"),
-            Some(p) => {
-                line.push_str(&format!(
-                    ",\"supervised\":true,\"max_retries\":{},\"retry_step_scale_bits\":\"{}\",\
-                     \"retry_settle_scale_bits\":\"{}\",\"step_budget\":{},\
-                     \"rail_margin_bits\":\"{}\",\"rail_overshoot_bits\":\"{}\",\
-                     \"rail_streak_limit\":{}",
-                    p.max_retries,
-                    bits_hex(p.retry_step_scale),
-                    bits_hex(p.retry_settle_scale),
-                    p.step_budget,
-                    bits_hex(p.rail_margin_fraction),
-                    bits_hex(p.rail_overshoot_fraction),
-                    p.rail_streak_limit,
-                ));
-                if let Some((lo, hi)) = p.control_rails {
-                    line.push_str(&format!(
-                        ",\"rails_lo_bits\":\"{}\",\"rails_hi_bits\":\"{}\"",
-                        bits_hex(lo),
-                        bits_hex(hi)
-                    ));
-                }
-            }
-        }
-        line.push('}');
+        line.push_str(&format!(",\"supervised\":{}}}", self.supervision.is_some()));
         line
     }
 
@@ -389,7 +375,9 @@ impl<E: PllEngine> CampaignPlan<E> {
     /// supplies the config, grid and workload salt the header was
     /// written against; the header contributes the result-affecting plan
     /// options. Scheduling knobs come back at their defaults — they were
-    /// never serialised.
+    /// never serialised. Any other key is ignored: a header naming
+    /// supervision thresholds other than the fixed ladder's has a digest
+    /// over those values, so it is refused by the digest check.
     ///
     /// # Errors
     ///
@@ -427,12 +415,6 @@ impl<E: PllEngine> CampaignPlan<E> {
         }
         let checkpoint =
             json_bool_field(line, "checkpoint").ok_or_else(|| malformed("missing checkpoint"))?;
-        let hex_field = |key: &str| -> Result<f64, CampaignError> {
-            json_str_field(line, key)
-                .as_deref()
-                .and_then(f64_from_bits_hex)
-                .ok_or_else(|| malformed(&format!("missing or invalid {key}")))
-        };
         let lock_settle_secs = match json_str_field(line, "lock_settle_bits") {
             Some(bits) => Some(
                 f64_from_bits_hex(&bits).ok_or_else(|| malformed("invalid lock_settle_bits"))?,
@@ -441,36 +423,11 @@ impl<E: PllEngine> CampaignPlan<E> {
         };
         let supervised =
             json_bool_field(line, "supervised").ok_or_else(|| malformed("missing supervised"))?;
-        let supervision = if supervised {
-            let max_retries = json_u64_field(line, "max_retries")
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| malformed("missing or invalid max_retries"))?;
-            let rail_streak_limit = json_u64_field(line, "rail_streak_limit")
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| malformed("missing or invalid rail_streak_limit"))?;
-            let control_rails = match json_str_field(line, "rails_lo_bits") {
-                Some(_) => Some((hex_field("rails_lo_bits")?, hex_field("rails_hi_bits")?)),
-                None => None,
-            };
-            Some(SupervisorPolicy {
-                max_retries,
-                retry_step_scale: hex_field("retry_step_scale_bits")?,
-                retry_settle_scale: hex_field("retry_settle_scale_bits")?,
-                step_budget: json_u64_field(line, "step_budget")
-                    .ok_or_else(|| malformed("missing step_budget"))?,
-                control_rails,
-                rail_margin_fraction: hex_field("rail_margin_bits")?,
-                rail_overshoot_fraction: hex_field("rail_overshoot_bits")?,
-                rail_streak_limit,
-            })
-        } else {
-            None
-        };
         let mut plan = CampaignPlan::new(config)
             .engine::<E>()
             .checkpoint(checkpoint);
         plan.lock_settle_secs = lock_settle_secs;
-        plan.supervision = supervision;
+        plan.supervision = supervised.then(SupervisorPolicy::default);
         let recomputed = plan.digest(f_mod_hz, workload_salt);
         if recomputed != digest {
             return Err(CampaignError::HeaderMismatch {
@@ -490,21 +447,17 @@ mod tests {
 
     #[test]
     fn builder_lowers_options_onto_fields() {
-        let policy = SupervisorPolicy {
-            max_retries: 1,
-            ..SupervisorPolicy::default()
-        };
         let plan = CampaignPlan::new(PllConfig::paper_table3())
             .engine::<EventDrivenCpPll>()
             .checkpoint(false)
-            .supervised(policy.clone())
+            .supervised(SupervisorPolicy::default())
             .scheduler(Scheduler::WorkStealing { threads: 8 })
             .resume_from("campaign.jsonl")
             .lock_settle(0.25)
             .telemetry(TelemetryConfig::enabled());
         assert_eq!(plan.backend(), "event_driven");
         assert!(!plan.checkpoint_enabled());
-        assert_eq!(plan.supervision(), Some(&policy));
+        assert_eq!(plan.supervision(), Some(&SupervisorPolicy::default()));
         assert_eq!(plan.schedule().threads(), 8);
         assert_eq!(
             plan.resume_path(),

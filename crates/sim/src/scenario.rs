@@ -632,10 +632,7 @@ mod tests {
         let scenario = Scenario::with_lock_settle(&cfg, 0.01);
         let tones = [1.0, 4.0, 8.0];
         let tel = Collector::enabled();
-        let policy = SupervisorPolicy {
-            max_retries: 1,
-            ..SupervisorPolicy::default()
-        };
+        let policy = SupervisorPolicy::default();
         let out = scenario.run_points::<ClosedFormPll, NullCodec<f64>, _>(
             &tones,
             2,
@@ -657,8 +654,11 @@ mod tests {
         assert_eq!(out.ok_count(), 2);
         assert_eq!(out.quarantined_count(), 1);
         assert!(out.points[1].is_err());
-        // One retry then quarantine, both logged.
-        assert_eq!(out.incidents.len(), 2);
+        // The ladder's retries then quarantine, all logged.
+        assert_eq!(
+            out.incidents.len(),
+            SupervisorPolicy::MAX_RETRIES as usize + 1
+        );
         assert!(out
             .incidents
             .iter()

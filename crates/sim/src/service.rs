@@ -58,7 +58,7 @@ use crate::campaign::{
 use crate::config::{DriveConfig, FilterConfig, PllConfig};
 use crate::engine::{ClosedFormPll, PllEngine};
 use crate::error::{CampaignError, InjectedKill, SweepPointError};
-use crate::event_driven::{EventDrivenCpPll, OutOfClass};
+use crate::event_driven::EventDrivenCpPll;
 use crate::observe::{CampaignObserver, ObservatoryConfig};
 use crate::parallel::resolve_threads;
 use crate::plan::{CampaignPlan, Scheduler};
@@ -77,10 +77,13 @@ const SERVE_BIN: &str = "serve";
 const EVENT_RECORD: &str = "job.event";
 /// Submission spec record name.
 const SPEC_RECORD: &str = "job.spec";
-/// A servable backend: its tag, its class check and its attempt.
+/// Attempts per job before it is journaled `failed`, raised to cover
+/// the job's injected crash schedule.
+const MAX_ATTEMPTS: u32 = 16;
+/// A servable backend: its tag, its admission check and its attempt.
 type Backend = (
     fn() -> &'static str,
-    fn(&PllConfig) -> Result<(), OutOfClass>,
+    fn(&JobSpec) -> Result<(), String>,
     fn(&ServiceState, &Path, &JobSpec, u32) -> Result<String, AttemptError>,
 );
 
@@ -88,20 +91,32 @@ type Backend = (
 static BACKENDS: [Backend; 3] = [
     (
         CpPll::backend_name,
-        CpPll::check_class,
+        admit::<CpPll>,
         execute_attempt::<CpPll>,
     ),
     (
         EventDrivenCpPll::backend_name,
-        EventDrivenCpPll::check_class,
+        admit::<EventDrivenCpPll>,
         execute_attempt::<EventDrivenCpPll>,
     ),
     (
         ClosedFormPll::backend_name,
-        ClosedFormPll::check_class,
+        admit::<ClosedFormPll>,
         execute_attempt::<ClosedFormPll>,
     ),
 ];
+
+/// Admits a parsed submission to backend `E`: the engine must be able to
+/// run the config ([`PllEngine::check_class`]), and the header must
+/// rebuild a plan whose digest is the one it claims
+/// ([`CampaignPlan::from_header`]) — that digest names the job and its
+/// directory.
+fn admit<E: PllEngine>(spec: &JobSpec) -> Result<(), String> {
+    E::check_class(&spec.config).map_err(|e| e.to_string())?;
+    CampaignPlan::<E>::from_header(&spec.header, spec.config.clone(), &spec.grid, &spec.salt)
+        .map(drop)
+        .map_err(|e| format!("header rejected: {e}"))
+}
 
 /// The servable backend tagged `name`.
 fn servable(name: &str) -> Option<&'static Backend> {
@@ -602,8 +617,9 @@ impl JobSpec {
     /// 16 lowercase hex characters (it names a directory — this is the
     /// path-traversal guard), the backend is not servable or cannot run
     /// the config ([`PllEngine::check_class`]), the grid is empty /
-    /// non-finite / non-positive / has duplicate bit patterns, or the
-    /// point count disagrees with the grid. The runner keys
+    /// non-finite / non-positive / has duplicate bit patterns, the
+    /// point count disagrees with the grid, or the header's digest is not
+    /// the one its plan, config, grid and salt rebuild. The runner keys
     /// captures and faults by grid index, so a repeated frequency would
     /// run; it is refused here as outside input that measures one tone
     /// twice, which is a client mistake rather than a campaign.
@@ -622,12 +638,11 @@ impl JobSpec {
             return Err("digest must be 16 lowercase hex characters".to_string());
         }
         let backend = json_str_field(&header, "backend").ok_or("header missing backend")?;
-        let (_, check_class, _) =
+        let (_, admit, _) =
             servable(&backend).ok_or_else(|| format!("backend \"{backend}\" is not servable"))?;
         let points = json_u64_field(&header, "points").ok_or("header missing points")?;
         let config_wire = json_str_field(spec_line, "config").ok_or("spec missing config")?;
         let config = config_from_wire(&config_wire).ok_or("malformed config")?;
-        check_class(&config).map_err(|e| e.to_string())?;
         let grid_wire = json_str_field(spec_line, "grid").ok_or("spec missing grid")?;
         let grid: Vec<f64> = grid_wire
             .split(',')
@@ -661,7 +676,7 @@ impl JobSpec {
             .ok_or("threads must be in 1..=256")?;
         let faults_wire = json_str_field(spec_line, "faults").ok_or("spec missing faults")?;
         let faults = FaultPlan::from_wire(&faults_wire).ok_or("malformed fault plan")?;
-        Ok(Self {
+        let spec = Self {
             header,
             config,
             grid,
@@ -670,7 +685,9 @@ impl JobSpec {
             backend,
             digest,
             faults,
-        })
+        };
+        admit(&spec)?;
+        Ok(spec)
     }
 }
 
@@ -774,27 +791,21 @@ pub struct ServiceConfig {
     pub bind: String,
     /// Bounded job queue depth — submissions past it get `429`.
     pub queue_capacity: usize,
-    /// Attempt-budget floor per job (raised automatically to cover the
-    /// job's injected crash schedule).
-    pub max_attempts: u32,
 }
 
 impl ServiceConfig {
-    /// Defaults rooted at `root`: ephemeral port, queue of 16, 16
-    /// attempts.
+    /// Defaults rooted at `root`: ephemeral port, queue of 16.
     pub fn rooted(root: impl Into<PathBuf>) -> Self {
         Self {
             root: root.into(),
             bind: "127.0.0.1:0".to_string(),
             queue_capacity: 16,
-            max_attempts: 16,
         }
     }
 }
 
 struct ServiceState {
     root: PathBuf,
-    max_attempts: u32,
     draining: AtomicBool,
     stop: AtomicBool,
     tx: Mutex<Option<mpsc::SyncSender<String>>>,
@@ -847,7 +858,6 @@ impl CampaignService {
         let addr = listener.local_addr()?;
         let state = Arc::new(ServiceState {
             root: config.root,
-            max_attempts: config.max_attempts.max(1),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             tx: Mutex::new(None),
@@ -1278,26 +1288,16 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
         .map_err(|e| format!("submission unreadable: {e}"))
         .and_then(|text| JobSpec::parse(&text));
     match spec {
-        Err(reason) => {
-            let _ = journal_append(&journal, "failed", 0, &reason);
-            state.failed.fetch_add(1, Ordering::SeqCst);
-        }
+        Err(reason) => finish_job(state, job_id, "failed", Some((0, &reason))),
         Ok(spec) => loop {
             let (last, attempts) = journal_summary(&journal);
             if last == "done" {
-                state.done.fetch_add(1, Ordering::SeqCst);
-                break;
+                return finish_job(state, job_id, "done", None);
             }
-            let budget = state.max_attempts.max(spec.faults.crash.len() as u32 + 2);
+            let budget = MAX_ATTEMPTS.max(spec.faults.crash.len() as u32 + 2);
             if attempts >= budget {
-                let _ = journal_append(
-                    &journal,
-                    "failed",
-                    attempts,
-                    &format!("attempt budget {budget} exhausted"),
-                );
-                state.failed.fetch_add(1, Ordering::SeqCst);
-                break;
+                let reason = format!("attempt budget {budget} exhausted");
+                return finish_job(state, job_id, "failed", Some((attempts, &reason)));
             }
             let _ = journal_append(
                 &journal,
@@ -1312,14 +1312,10 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
             *lock(&state.current_observer) = None;
             match outcome {
                 Ok(Ok(summary)) => {
-                    let _ = journal_append(&journal, "done", attempts, &summary);
-                    state.done.fetch_add(1, Ordering::SeqCst);
-                    break;
+                    return finish_job(state, job_id, "done", Some((attempts, &summary)));
                 }
                 Ok(Err(AttemptError::Fatal(reason))) => {
-                    let _ = journal_append(&journal, "failed", attempts, &reason);
-                    state.failed.fetch_add(1, Ordering::SeqCst);
-                    break;
+                    return finish_job(state, job_id, "failed", Some((attempts, &reason)));
                 }
                 Ok(Err(AttemptError::Interrupted(reason))) => {
                     let _ = journal_append(&journal, "interrupted", attempts, &reason);
@@ -1344,16 +1340,35 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
                             .map(String::as_str)
                             .or_else(|| payload.downcast_ref::<&str>().copied())
                             .unwrap_or("worker panic escaped the sweep");
-                        let _ = journal_append(&journal, "failed", attempts, reason);
-                        state.failed.fetch_add(1, Ordering::SeqCst);
-                        break;
+                        return finish_job(state, job_id, "failed", Some((attempts, reason)));
                     }
                 }
             }
         },
     }
-    lock(&state.inflight).remove(job_id);
+}
+
+/// Ends `job_id`'s run in `terminal` state (`done` or `failed`),
+/// appending `line` — `(attempt, detail)` — to its journal when given.
+///
+/// The in-memory state (`inflight`, `running`, the done/failed count)
+/// changes first, so a client that has read the terminal line from
+/// `/jobs/<id>` finds `/progress` agreeing with it. `inflight` stays
+/// locked until the line is durable, so a resubmission sees either the
+/// unfinished job or the finished one.
+fn finish_job(state: &ServiceState, job_id: &str, terminal: &str, line: Option<(u32, &str)>) {
+    let mut inflight = lock(&state.inflight);
+    inflight.remove(job_id);
     *lock(&state.running) = None;
+    let count = if terminal == "done" {
+        &state.done
+    } else {
+        &state.failed
+    };
+    count.fetch_add(1, Ordering::SeqCst);
+    if let Some((attempt, detail)) = line {
+        let _ = journal_append(&state.journal_path(job_id), terminal, attempt, detail);
+    }
 }
 
 fn dispatch_attempt(
@@ -1602,6 +1617,11 @@ mod tests {
         assert!(JobSpec::parse(&traversal).is_err());
         let upper = body.replacen(&plan.digest(&grid, "s"), "ABCDEFABCDEFABCD", 1);
         assert!(JobSpec::parse(&upper).is_err());
+        // A well-formed digest that is not the plan's: it would name (and
+        // could answer with) another job's directory.
+        let tampered = body.replacen(&plan.digest(&grid, "s"), "0123456789abcdef", 1);
+        let reason = JobSpec::parse(&tampered).expect_err("tampered digest");
+        assert!(reason.contains("digest"), "{reason}");
         // Duplicate grid entries, negative frequencies, zero threads.
         let dup = submission_body(&plan, &[3.0, 3.0], "s", &FaultPlan::none());
         assert!(JobSpec::parse(&dup).is_err());

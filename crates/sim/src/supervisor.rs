@@ -41,11 +41,10 @@
 //! entry [`crate::scenario::run_plan`]) rather than bare, so trips are
 //! contained instead of unwinding the caller.
 //!
-//! Determinism: retries are a pure function of `(config, point,
-//! policy)` — attempt `k` always uses step scale
-//! `retry_step_scale^k` and settle scale `retry_settle_scale^k` from a
-//! freshly locked engine — so a failing campaign replays incident for
-//! incident.
+//! Determinism: retries are a pure function of `(config, point)` —
+//! attempt `k` always uses step scale `RETRY_STEP_SCALE^k` and settle
+//! scale `RETRY_SETTLE_SCALE^k` from a freshly locked engine — so a
+//! failing campaign replays incident for incident.
 
 use crate::behavioral::Sample;
 use crate::config::{DriveConfig, PllConfig};
@@ -56,94 +55,66 @@ use crate::stimulus::FmStimulus;
 use pllbist_telemetry::{fields, Collector, Record};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The deterministic quarantine-and-retry policy plus the guardrail
+/// The deterministic quarantine-and-retry ladder plus the guardrail
 /// thresholds of [`Supervised`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct SupervisorPolicy {
-    /// Retries after the first failed attempt (attempt count is
-    /// `max_retries + 1`). Only [`SweepPointError::is_retryable`]
-    /// failures are retried.
-    pub max_retries: u32,
-    /// Work-granularity multiplier per retry attempt: attempt `k` runs
-    /// at `retry_step_scale^k` (default 0.5 — halved each retry).
-    /// Applied via [`PllEngine::set_step_scale`]: the integration
-    /// micro-step on micro-stepped engines, the event-subdivision guard
-    /// on event-exact engines.
-    pub retry_step_scale: f64,
-    /// Lock-settle multiplier per retry attempt: attempt `k` settles
-    /// for `retry_settle_scale^k` times the scenario's wait.
-    pub retry_settle_scale: f64,
-    /// Work units (`work_stats().steps` — micro-steps or committed
-    /// event segments, per backend) one point may spend before
-    /// [`SweepPointError::StepBudgetExhausted`] trips (`0` = unlimited).
-    pub step_budget: u64,
-    /// Control-voltage rails `(lo, hi)`; `None` derives them from the
-    /// drive configuration (`0..vdd` for a voltage drive, no rails for
-    /// a charge pump).
-    pub control_rails: Option<(f64, f64)>,
-    /// Fraction of the rail span within which the control voltage
-    /// counts as *pinned* to a rail.
-    pub rail_margin_fraction: f64,
-    /// Rail spans beyond the rails at which the control voltage is
-    /// declared numerically divergent outright.
-    pub rail_overshoot_fraction: f64,
-    /// Consecutive checked `advance_to` calls pinned at a rail before
-    /// the divergence watchdog trips.
-    pub rail_streak_limit: u32,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            retry_step_scale: 0.5,
-            retry_settle_scale: 1.5,
-            step_budget: 10_000_000,
-            control_rails: None,
-            rail_margin_fraction: 1e-9,
-            rail_overshoot_fraction: 10.0,
-            rail_streak_limit: 256,
-        }
-    }
-}
+///
+/// Like the paper's BIST, which runs one fixed test plan against fixed
+/// on-chip limits (Table 2), the ladder is fixed: its thresholds are the
+/// associated constants below. The value itself is the switch a
+/// [`crate::plan::CampaignPlan`] turns supervision on with.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SupervisorPolicy {}
 
 impl SupervisorPolicy {
-    /// The control rails for `config`: the explicit override when set,
-    /// otherwise `0..vdd` for a voltage drive and none for a charge
-    /// pump (whose control node is not supply-bounded in the model).
-    pub fn rails_for(&self, config: &PllConfig) -> Option<(f64, f64)> {
-        self.control_rails.or(match config.drive {
-            DriveConfig::Voltage { vdd } => Some((0.0, vdd)),
-            _ => None,
-        })
-    }
+    /// Retries after the first failed attempt (attempt count is
+    /// `MAX_RETRIES + 1`). Only [`SweepPointError::is_retryable`]
+    /// failures are retried.
+    pub const MAX_RETRIES: u32 = 2;
+    /// Work-granularity multiplier per retry attempt: attempt `k` runs
+    /// at `RETRY_STEP_SCALE^k` (halved each retry). Applied via
+    /// [`PllEngine::set_step_scale`]: the integration micro-step on
+    /// micro-stepped engines, the event-subdivision guard on event-exact
+    /// engines.
+    pub const RETRY_STEP_SCALE: f64 = 0.5;
+    /// Lock-settle multiplier per retry attempt: attempt `k` settles for
+    /// `RETRY_SETTLE_SCALE^k` times the scenario's wait.
+    pub const RETRY_SETTLE_SCALE: f64 = 1.5;
+    /// Work units (`work_stats().steps` — micro-steps or committed event
+    /// segments, per backend) attempt 0 of one point may spend before
+    /// [`SweepPointError::StepBudgetExhausted`] trips.
+    pub const STEP_BUDGET: u64 = 10_000_000;
+    /// Fraction of the rail span within which the control voltage counts
+    /// as *pinned* to a rail.
+    pub const RAIL_MARGIN_FRACTION: f64 = 1e-9;
+    /// Rail spans beyond the rails at which the control voltage is
+    /// declared numerically divergent outright.
+    pub const RAIL_OVERSHOOT_FRACTION: f64 = 10.0;
+    /// Consecutive checked `advance_to` calls pinned at a rail before the
+    /// divergence watchdog trips.
+    pub const RAIL_STREAK_LIMIT: u32 = 256;
 
     /// The step budget for retry `attempt` (zero-based).
     ///
-    /// Attempt `k` settles for `retry_settle_scale^k` times the nominal
-    /// wait *at* a `retry_step_scale^k` micro-step, so even a healthy
-    /// retry needs roughly `(retry_settle_scale / retry_step_scale)^k`
-    /// times the steps of attempt 0. A constant budget therefore killed
-    /// exactly the deep retries the policy exists to rescue, reporting
-    /// spurious [`SweepPointError::StepBudgetExhausted`]; the budget now
-    /// scales with the work the attempt is *expected* to do (never
-    /// shrinking below the nominal budget, saturating on overflow; `0`
-    /// stays unlimited).
-    pub fn step_budget_for_attempt(&self, attempt: u32) -> u64 {
-        if self.step_budget == 0 || attempt == 0 {
-            return self.step_budget;
-        }
-        let settle_growth = self.retry_settle_scale.max(1.0);
-        let step_refinement = self.retry_step_scale.clamp(f64::MIN_POSITIVE, 1.0);
-        let factor = (settle_growth / step_refinement)
-            .max(1.0)
-            .powi(attempt as i32);
-        let scaled = (self.step_budget as f64 * factor).ceil();
-        if scaled >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            scaled as u64
-        }
+    /// Attempt `k` settles for `RETRY_SETTLE_SCALE^k` times the nominal
+    /// wait *at* a `RETRY_STEP_SCALE^k` micro-step, so even a healthy
+    /// retry needs about `3^k` times the steps of attempt 0. A constant
+    /// budget would kill exactly the deep retries the ladder exists to
+    /// rescue, reporting spurious [`SweepPointError::StepBudgetExhausted`];
+    /// the budget therefore scales with the work the attempt is *expected*
+    /// to do: `STEP_BUDGET·3^k`, exact for every `k ≤ MAX_RETRIES`.
+    fn step_budget_for_attempt(attempt: u32) -> u64 {
+        let growth = Self::RETRY_SETTLE_SCALE / Self::RETRY_STEP_SCALE;
+        (Self::STEP_BUDGET as f64 * growth.powi(attempt as i32)) as u64
+    }
+}
+
+/// The control rails for `config`: `0..vdd` for a voltage drive and none
+/// for a charge pump (whose control node is not supply-bounded in the
+/// model).
+fn control_rails(config: &PllConfig) -> Option<(f64, f64)> {
+    match config.drive {
+        DriveConfig::Voltage { vdd } => Some((0.0, vdd)),
+        _ => None,
     }
 }
 
@@ -225,42 +196,29 @@ pub struct PointOutcome<R> {
 /// by [`supervised_point`] (or any other `catch_unwind`).
 pub struct Supervised<E: PllEngine> {
     inner: E,
+    /// Work units one point may spend; `0` = unlimited.
     step_budget: u64,
     rails: Option<(f64, f64)>,
-    rail_margin_fraction: f64,
-    rail_overshoot_fraction: f64,
-    rail_streak_limit: u32,
     rail_streak: u32,
     baseline_steps: u64,
 }
 
 impl<E: PllEngine> Supervised<E> {
-    /// Wraps `inner` with the guardrails of `policy` (rails derived
-    /// from the engine's drive configuration unless overridden).
-    pub fn new(inner: E, policy: &SupervisorPolicy) -> Self {
-        let rails = policy.rails_for(inner.config());
+    /// Wraps `inner` for retry `attempt` of one point: the guardrails of
+    /// the [`SupervisorPolicy`] ladder (rails derived from the engine's
+    /// drive configuration) with the step budget rescaled for the
+    /// attempt, so a deep retry's deliberately finer micro-step and
+    /// longer settle are not misdiagnosed as a runaway point.
+    pub fn for_attempt(inner: E, attempt: u32) -> Self {
+        let rails = control_rails(inner.config());
         let baseline_steps = inner.work_stats().steps;
         Self {
             inner,
-            step_budget: policy.step_budget,
+            step_budget: SupervisorPolicy::step_budget_for_attempt(attempt),
             rails,
-            rail_margin_fraction: policy.rail_margin_fraction,
-            rail_overshoot_fraction: policy.rail_overshoot_fraction,
-            rail_streak_limit: policy.rail_streak_limit,
             rail_streak: 0,
             baseline_steps,
         }
-    }
-
-    /// Wraps `inner` for retry `attempt` of one point: the guardrails of
-    /// `policy` with the step budget rescaled per
-    /// [`SupervisorPolicy::step_budget_for_attempt`], so a deep retry's
-    /// deliberately finer micro-step and longer settle are not
-    /// misdiagnosed as a runaway point.
-    pub fn for_attempt(inner: E, policy: &SupervisorPolicy, attempt: u32) -> Self {
-        let mut supervised = Self::new(inner, policy);
-        supervised.step_budget = policy.step_budget_for_attempt(attempt);
-        supervised
     }
 
     /// Wraps `inner` with every guardrail disabled (finiteness checks
@@ -270,9 +228,6 @@ impl<E: PllEngine> Supervised<E> {
             inner,
             step_budget: 0,
             rails: None,
-            rail_margin_fraction: 0.0,
-            rail_overshoot_fraction: f64::INFINITY,
-            rail_streak_limit: u32::MAX,
             rail_streak: 0,
             baseline_steps: 0,
         }
@@ -311,7 +266,7 @@ impl<E: PllEngine> Supervised<E> {
         }
         if let Some((lo, hi)) = self.rails {
             let span = hi - lo;
-            let overshoot = self.rail_overshoot_fraction * span;
+            let overshoot = SupervisorPolicy::RAIL_OVERSHOOT_FRACTION * span;
             if cv < lo - overshoot || cv > hi + overshoot {
                 std::panic::panic_any(SweepPointError::NumericalDivergence {
                     t,
@@ -319,10 +274,10 @@ impl<E: PllEngine> Supervised<E> {
                     value: cv,
                 });
             }
-            let margin = self.rail_margin_fraction * span;
+            let margin = SupervisorPolicy::RAIL_MARGIN_FRACTION * span;
             if cv <= lo + margin || cv >= hi - margin {
                 self.rail_streak = self.rail_streak.saturating_add(1);
-                if self.rail_streak >= self.rail_streak_limit {
+                if self.rail_streak >= SupervisorPolicy::RAIL_STREAK_LIMIT {
                     std::panic::panic_any(SweepPointError::NumericalDivergence {
                         t,
                         quantity: "control_voltage_rail_pinned",
@@ -355,7 +310,7 @@ impl<E: PllEngine> PllEngine for Supervised<E> {
 
     /// Builds an *unsupervised* wrapper (guardrails off) so the generic
     /// scenario paths can construct one; the supervisor entry points
-    /// build armed wrappers via [`Supervised::new`] instead.
+    /// build armed wrappers via [`Supervised::for_attempt`] instead.
     fn new_locked(config: &PllConfig) -> Self {
         Self::unsupervised(E::new_locked(config))
     }
@@ -447,7 +402,7 @@ impl<E: AnalogAccess> AnalogAccess for Supervised<E> {
 /// Attempt `0` reproduces the unsupervised path exactly (restore the
 /// shared snapshot, or settle from scratch) so healthy results stay
 /// bitwise identical. Retry attempts rebuild from a fresh lock with the
-/// policy's scaled micro-step and extended settle — snapshots embody
+/// ladder's scaled micro-step and extended settle — snapshots embody
 /// the nominal step size, so they cannot seed a scaled retry.
 pub fn engine_for_attempt<E: PllEngine>(
     scenario: &Scenario<'_>,
@@ -456,7 +411,7 @@ pub fn engine_for_attempt<E: PllEngine>(
     attempt: u32,
 ) -> Supervised<E> {
     let mut pll = match policy {
-        Some(policy) => Supervised::for_attempt(E::new_locked(scenario.config()), policy, attempt),
+        Some(_) => Supervised::for_attempt(E::new_locked(scenario.config()), attempt),
         None => Supervised::unsupervised(E::new_locked(scenario.config())),
     };
     if attempt == 0 {
@@ -468,13 +423,15 @@ pub fn engine_for_attempt<E: PllEngine>(
         pll.advance_to(t0 + scenario.lock_settle_secs());
         return pll;
     }
-    let Some(policy) = policy else {
-        unreachable!("retry attempts require a supervision policy")
-    };
-    pll.set_step_scale(policy.retry_step_scale.powi(attempt as i32));
+    assert!(
+        policy.is_some(),
+        "retry attempts require a supervision policy"
+    );
+    pll.set_step_scale(SupervisorPolicy::RETRY_STEP_SCALE.powi(attempt as i32));
     let t0 = pll.time();
     pll.advance_to(
-        t0 + scenario.lock_settle_secs() * policy.retry_settle_scale.powi(attempt as i32),
+        t0 + scenario.lock_settle_secs()
+            * SupervisorPolicy::RETRY_SETTLE_SCALE.powi(attempt as i32),
     );
     pll
 }
@@ -503,7 +460,7 @@ where
     E: PllEngine,
     F: Fn(&mut Supervised<E>) -> Result<R, SweepPointError>,
 {
-    let max_retries = policy.map_or(0, |p| p.max_retries);
+    let max_retries = policy.map_or(0, |_| SupervisorPolicy::MAX_RETRIES);
     let mut incidents = Vec::new();
     for attempt in 0..=max_retries {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -573,7 +530,7 @@ mod tests {
     fn supervised_healthy_advance_is_bitwise_identical() {
         let cfg = PllConfig::paper_table3();
         let mut bare = CpPll::new_locked(&cfg);
-        let mut sup = Supervised::new(CpPll::new_locked(&cfg), &SupervisorPolicy::default());
+        let mut sup = Supervised::for_attempt(CpPll::new_locked(&cfg), 0);
         for k in 1..=20 {
             let t = k as f64 * 0.01;
             PllEngine::advance_to(&mut bare, t);
@@ -593,11 +550,10 @@ mod tests {
     #[test]
     fn step_budget_trips_as_typed_error() {
         let cfg = PllConfig::paper_table3();
-        let policy = SupervisorPolicy {
+        let mut sup = Supervised {
             step_budget: 10,
-            ..SupervisorPolicy::default()
+            ..Supervised::for_attempt(CpPll::new_locked(&cfg), 0)
         };
-        let mut sup = Supervised::new(CpPll::new_locked(&cfg), &policy);
         sup.arm_point();
         let err = catch_unwind(AssertUnwindSafe(|| sup.advance_to(1.0)))
             .map(|_| ())
@@ -616,15 +572,11 @@ mod tests {
     fn supervised_point_retries_then_quarantines_deterministically() {
         let cfg = PllConfig::paper_table3();
         let scenario = Scenario::with_lock_settle(&cfg, 0.01);
-        let policy = SupervisorPolicy {
-            max_retries: 2,
-            ..SupervisorPolicy::default()
-        };
         let run = || {
             supervised_point::<ClosedFormPll, f64, _>(
                 &scenario,
                 None,
-                Some(&policy),
+                Some(&SupervisorPolicy::default()),
                 8.0,
                 &quiet(),
                 |_pll| Err(SweepPointError::DegenerateFit { f_mod_hz: 8.0 }),
@@ -673,32 +625,12 @@ mod tests {
 
     #[test]
     fn step_budget_scales_with_retry_attempt() {
-        let policy = SupervisorPolicy::default();
-        // Defaults: settle ×1.5 and step ×0.5 per attempt → expected
-        // work grows 3× per attempt, and so must the budget.
-        assert_eq!(policy.step_budget_for_attempt(0), 10_000_000);
-        assert_eq!(policy.step_budget_for_attempt(1), 30_000_000);
-        assert_eq!(policy.step_budget_for_attempt(2), 90_000_000);
-        // Unlimited stays unlimited; pathological scales saturate
-        // instead of wrapping.
-        let unlimited = SupervisorPolicy {
-            step_budget: 0,
-            ..SupervisorPolicy::default()
-        };
-        assert_eq!(unlimited.step_budget_for_attempt(3), 0);
-        assert_eq!(policy.step_budget_for_attempt(200), u64::MAX);
-        let degenerate = SupervisorPolicy {
-            retry_step_scale: 0.0,
-            ..SupervisorPolicy::default()
-        };
-        assert_eq!(degenerate.step_budget_for_attempt(1), u64::MAX);
-        // A policy that never scales keeps the nominal budget.
-        let flat = SupervisorPolicy {
-            retry_step_scale: 1.0,
-            retry_settle_scale: 1.0,
-            ..SupervisorPolicy::default()
-        };
-        assert_eq!(flat.step_budget_for_attempt(2), 10_000_000);
+        // Settle ×1.5 and step ×0.5 per attempt → expected work grows 3×
+        // per attempt, and so must the budget.
+        let budgets: Vec<u64> = (0..=SupervisorPolicy::MAX_RETRIES)
+            .map(SupervisorPolicy::step_budget_for_attempt)
+            .collect();
+        assert_eq!(budgets, [10_000_000, 30_000_000, 90_000_000]);
     }
 
     #[test]
@@ -711,7 +643,6 @@ mod tests {
         // StepBudgetExhausted.
         let cfg = PllConfig::paper_table3();
         let lock_settle = 0.01;
-        let scenario = Scenario::with_lock_settle(&cfg, lock_settle);
         // Steps an attempt-0 settle costs on this engine.
         let steps0 = {
             let mut pll = CpPll::new_locked(&cfg);
@@ -719,50 +650,31 @@ mod tests {
             PllEngine::advance_to(&mut pll, t0 + lock_settle);
             PllEngine::work_stats(&pll).steps
         };
-        let policy = SupervisorPolicy {
-            max_retries: 2,
-            step_budget: steps0 * 2,
-            ..SupervisorPolicy::default()
+        // A nominal budget of twice attempt 0's settle, and attempt 1's
+        // settle under it, before and after the per-attempt rescaling.
+        let nominal = steps0 * 2;
+        let growth = SupervisorPolicy::step_budget_for_attempt(1)
+            / SupervisorPolicy::step_budget_for_attempt(0);
+        let retry_settle = |budget: u64| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut pll = Supervised {
+                    step_budget: budget,
+                    ..Supervised::for_attempt(CpPll::new_locked(&cfg), 1)
+                };
+                pll.set_step_scale(SupervisorPolicy::RETRY_STEP_SCALE);
+                let t0 = pll.time();
+                pll.advance_to(t0 + lock_settle * SupervisorPolicy::RETRY_SETTLE_SCALE);
+            }))
+            .map_err(SweepPointError::from_panic)
         };
         // The scenario is real: attempt 1's settle alone overruns the
         // nominal budget (this is what made the old constant-budget
         // check trip).
-        let steps1 = {
-            let mut pll = CpPll::new_locked(&cfg);
-            PllEngine::set_step_scale(&mut pll, policy.retry_step_scale);
-            let t0 = PllEngine::time(&pll);
-            PllEngine::advance_to(&mut pll, t0 + lock_settle * policy.retry_settle_scale);
-            PllEngine::work_stats(&pll).steps
-        };
+        let err = retry_settle(nominal).expect_err("the nominal budget must bite");
+        assert_eq!(err.kind(), "step_budget_exhausted");
         assert!(
-            steps1 > policy.step_budget,
-            "retry settle ({steps1} steps) must exceed the nominal budget \
-             ({}) for this regression test to bite",
-            policy.step_budget
-        );
-        let failures = std::sync::atomic::AtomicU32::new(1);
-        let out = supervised_point::<CpPll, u64, _>(
-            &scenario,
-            None,
-            Some(&policy),
-            2.0,
-            &quiet(),
-            |pll| {
-                if failures.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) > 0 {
-                    return Err(SweepPointError::DegenerateFit { f_mod_hz: 2.0 });
-                }
-                let t = pll.time();
-                pll.advance_to(t + 0.001);
-                Ok(pll.vco_phase_cycles().to_bits())
-            },
-        );
-        assert_eq!(out.incidents.len(), 1, "{:?}", out.incidents);
-        assert_eq!(out.incidents[0].action, IncidentAction::Retried);
-        assert_eq!(out.incidents[0].error.kind(), "degenerate_fit");
-        assert!(
-            out.result.is_ok(),
-            "attempt 1 was spuriously killed: {:?}",
-            out.result
+            retry_settle(nominal * growth).is_ok(),
+            "attempt 1 was spuriously killed"
         );
     }
 

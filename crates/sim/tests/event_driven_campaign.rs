@@ -88,7 +88,10 @@ fn killed_event_campaign_resumes_byte_identically_at_every_thread_count() {
     let cfg = PllConfig::paper_table3();
     let tones = [2.0, 6.0, 14.0, 28.0];
     let path = tmp("event_kill_resume.jsonl");
+    // The lock sidecar too, so the reference run settles from cold.
+    let sidecar = path.with_extension("ckpt");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
 
     let reference_run = run_sweep(
         &event_plan(&cfg, 1).resume_from(&path),
@@ -129,6 +132,7 @@ fn killed_event_campaign_resumes_byte_identically_at_every_thread_count() {
         );
     }
     std::fs::remove_file(&path).expect("cleanup");
+    let _ = std::fs::remove_file(&sidecar);
 }
 
 const TONES: [f64; 6] = [1.0, 3.0, 7.0, 9.0, 21.0, 55.0];

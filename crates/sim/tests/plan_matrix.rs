@@ -145,3 +145,55 @@ fn scheduling_knobs_never_touch_the_digest() {
     assert_ne!(base.clone().unsupervised().digest(&tones, "matrix"), digest);
     assert_ne!(base.digest(&tones, "other-salt"), digest);
 }
+
+#[test]
+fn digests_survive_the_fixed_supervision_ladder() {
+    // Pinned from when the ladder's thresholds were settable fields:
+    // results files and job directories written then still resume.
+    let grid = [3.0, 9.0];
+    let plan = CampaignPlan::new(PllConfig::paper_table3()).engine::<ClosedFormPll>();
+    let supervised = plan.clone().supervised(SupervisorPolicy::default());
+    assert_eq!(supervised.digest(&grid, "s"), "23419d42017a58c2");
+    assert_eq!(plan.digest(&grid, "s"), "358e70fd07c866cd");
+}
+
+#[test]
+fn supervision_travels_as_one_flag() {
+    let grid = [3.0, 9.0];
+    let supervised = CampaignPlan::new(PllConfig::paper_table3())
+        .engine::<ClosedFormPll>()
+        .supervised(SupervisorPolicy::default());
+    assert_eq!(
+        supervised.header_line(&grid, "s"),
+        "{\"type\":\"campaign\",\"digest\":\"23419d42017a58c2\",\"points\":2,\
+         \"backend\":\"closed_form\",\"checkpoint\":true,\"supervised\":true}"
+    );
+    let parse = |line: &str| {
+        CampaignPlan::<ClosedFormPll>::from_header(line, PllConfig::paper_table3(), &grid, "s")
+    };
+    let back = parse(&supervised.header_line(&grid, "s")).expect("round trip");
+    assert_eq!(back.supervision(), Some(&SupervisorPolicy::default()));
+    // Threshold keys are not read: hostile values under the ladder's
+    // digest parse to the ladder.
+    let hostile = "{\"type\":\"campaign\",\"digest\":\"23419d42017a58c2\",\"points\":2,\
+         \"backend\":\"closed_form\",\"checkpoint\":true,\"supervised\":true,\
+         \"max_retries\":4000000000,\"retry_step_scale_bits\":\"0000000000000000\",\
+         \"retry_settle_scale_bits\":\"412e848000000000\",\"step_budget\":0,\
+         \"rail_margin_bits\":\"7ff8000000000000\",\"rail_overshoot_bits\":\"0000000000000000\",\
+         \"rail_streak_limit\":0,\"rails_lo_bits\":\"7ff0000000000000\",\
+         \"rails_hi_bits\":\"fff0000000000000\"}";
+    let back = parse(hostile).expect("threshold keys are ignored");
+    assert_eq!(back.supervision(), Some(&SupervisorPolicy::default()));
+    // A header written for another ladder (max_retries 1) carries a
+    // digest over that ladder, so it is refused.
+    let other_ladder = "{\"type\":\"campaign\",\"digest\":\"df312905f6f9fec9\",\"points\":2,\
+         \"backend\":\"closed_form\",\"checkpoint\":true,\"supervised\":true,\
+         \"max_retries\":1,\"retry_step_scale_bits\":\"3fe0000000000000\",\
+         \"retry_settle_scale_bits\":\"3ff8000000000000\",\"step_budget\":10000000,\
+         \"rail_margin_bits\":\"3e112e0be826d695\",\"rail_overshoot_bits\":\"4024000000000000\",\
+         \"rail_streak_limit\":256}";
+    assert!(matches!(
+        parse(other_ladder),
+        Err(CampaignError::HeaderMismatch { .. })
+    ));
+}

@@ -121,7 +121,10 @@ fn stealing_scheduler_matches_serial_with_contained_failures() {
     };
     let serial = run(1);
     assert_eq!(serial.quarantined_count(), 1);
-    assert_eq!(serial.incidents.len(), policy.max_retries as usize + 1);
+    assert_eq!(
+        serial.incidents.len(),
+        SupervisorPolicy::MAX_RETRIES as usize + 1
+    );
     for threads in [4usize, 16] {
         let stealing = run(threads);
         assert_same_outcomes(
@@ -138,7 +141,10 @@ fn killed_bench_campaign_resumes_byte_identically_at_every_thread_count() {
     let cfg = PllConfig::paper_table3();
     let tones = [2.0, 6.0, 14.0, 28.0];
     let path = tmp("bench_kill_resume.jsonl");
+    // The lock sidecar too, so the reference run settles from cold.
+    let sidecar = path.with_extension("ckpt");
     let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&sidecar);
 
     // Uninterrupted reference run.
     let reference_run = run_sweep(
@@ -181,6 +187,7 @@ fn killed_bench_campaign_resumes_byte_identically_at_every_thread_count() {
         );
     }
     std::fs::remove_file(&path).expect("cleanup");
+    let _ = std::fs::remove_file(&sidecar);
 }
 
 #[test]

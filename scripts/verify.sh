@@ -167,11 +167,23 @@ fi
 # file, and the flight-recorder capacity and the peak guard are
 # constants. This gate keeps them gone: one of these names back in the
 # sources means an option returned without a caller that needs it.
-echo "==> unread-option gate (no SinkConfig / sample_every / with_sampling / render_table / fn sidecar( / recorder_capacity / peak_guard_fraction)"
+echo "==> unread-option gate (no SinkConfig / sample_every / with_sampling / render_table / fn sidecar( / recorder_capacity / peak_guard_fraction; no settable supervision threshold or attempt budget)"
 unread='\bSinkConfig\b|\bsample_every\b|\bwith_sampling\b|\brender_table\b|\bfn sidecar\(|\brecorder_capacity\b|\bpeak_guard_fraction\b'
 if grep -rnE --include='*.rs' --exclude-dir=target "$unread" crates/*/src src; then
   echo "unread-option gate: an option with one value is back — make it a"
   echo "constant, or derive it from the option that decides it"
+  exit 1
+fi
+# The supervision ladder and the job attempt budget are fixed: their
+# thresholds are SupervisorPolicy's associated constants and the
+# service's MAX_ATTEMPTS, and a supervised plan's header carries one
+# "supervised" flag. A public threshold field, or a threshold key in a
+# header writer or reader, means a settable ladder (and an unbounded
+# value from an untrusted submission) came back.
+ladder='pub(\([a-z]+\))?[[:space:]]+(max_retries|retry_step_scale|retry_settle_scale|step_budget|control_rails|rail_margin_fraction|rail_overshoot_fraction|rail_streak_limit|max_attempts)[[:space:]]*:'
+if grep -rnE --include='*.rs' --exclude-dir=target "$ladder|_scale_bits|rail_margin_bits|rails_lo_bits" crates/*/src src; then
+  echo "unread-option gate: a settable supervision threshold or attempt budget"
+  echo "is back — the ladder is SupervisorPolicy's constants, the budget MAX_ATTEMPTS"
   exit 1
 fi
 

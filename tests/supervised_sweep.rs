@@ -181,7 +181,7 @@ fn nan_device_is_fully_quarantined_without_aborting() {
     // Every point exhausted its deterministic retry budget.
     assert_eq!(
         run.incidents.len(),
-        tones.len() * (SupervisorPolicy::default().max_retries as usize + 1)
+        tones.len() * (SupervisorPolicy::MAX_RETRIES as usize + 1)
     );
 }
 
@@ -221,7 +221,7 @@ fn supervised_sweep_always_completes_with_random_fault_placement() {
                 }
                 prop_assert_eq!(
                     swept.incidents.len(),
-                    tones.len() * (policy.max_retries as usize + 1)
+                    tones.len() * (SupervisorPolicy::MAX_RETRIES as usize + 1)
                 );
                 return Ok(());
             }
@@ -266,7 +266,7 @@ fn supervised_sweep_always_completes_with_random_fault_placement() {
             let want_incidents = if as_panic {
                 1
             } else {
-                policy.max_retries as usize + 1
+                SupervisorPolicy::MAX_RETRIES as usize + 1
             };
             prop_assert_eq!(swept.incidents.len(), want_incidents);
             Ok(())
