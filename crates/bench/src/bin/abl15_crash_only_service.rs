@@ -2,8 +2,9 @@
 //!
 //! One campaign is submitted to the service three ways: an
 //! uninterrupted single-threaded reference, a battered run whose fault
-//! plan injects kills mid-sweep, a torn journal append, a torn results
-//! write and a disk-full rejection (repeated at several thread counts,
+//! plan crashes five attempts at chosen durable steps — kills before a
+//! results line, a torn results line and a torn journal append
+//! (repeated at several thread counts,
 //! with a client disconnecting mid-results-stream for good measure),
 //! and a SIGKILL-style restart whose job directory is seeded with a
 //! torn prefix of the reference results file. Every run must reach
@@ -113,33 +114,27 @@ fn main() {
     let salt = "abl15";
 
     // Point-level faults fire in every run, reference included; the
-    // crash schedule below is what only the battered runs endure:
-    // two plain kills, a kill that also tears the journal append, a
-    // torn results flush and a disk-full rejection — five interrupted
-    // attempts before the clean sixth.
+    // crash schedule below is what only the battered runs endure — five
+    // interrupted attempts before the clean sixth. An attempt's durable
+    // steps are its `running` append, the results header and the sidecar
+    // store when both are new, one step per results line, and the
+    // final fsync; a crash writes `bytes` bytes of its step, then dies.
     let mut faults = FaultPlan::from_seed(seed, points, 0);
+    let crash = |step, bytes| CrashFault { step, bytes };
     faults.crash = vec![
-        CrashFault::Kill {
-            after_points: (points / 3).max(1),
-        },
-        CrashFault::TornResultWrite {
-            at_flush: 1,
-            keep_bytes: 9,
-        },
-        CrashFault::KillTearingJournal { after_points: 1 },
-        CrashFault::ResultDiskFull { at_flush: 1 },
-        CrashFault::Kill { after_points: 1 },
+        // Attempt 0 (running, header, sidecar, lines): killed before
+        // line points/3 lands.
+        crash(3 + (points / 3).max(1), 0),
+        // Attempt 1 (running, lines): its second line torn at 9 bytes.
+        crash(2, 9),
+        // Attempt 2: its own `running` append torn at 12 bytes.
+        crash(0, 12),
+        // Attempt 3: killed before its second line lands.
+        crash(2, 0),
+        // Attempt 4: killed before its first line lands.
+        crash(1, 0),
     ];
-    let kills = faults
-        .crash
-        .iter()
-        .filter(|c| {
-            matches!(
-                c,
-                CrashFault::Kill { .. } | CrashFault::KillTearingJournal { .. }
-            )
-        })
-        .count();
+    let kills = faults.crash.iter().filter(|c| c.bytes == 0).count();
     println!(
         "abl15 — crash-only campaign service ({points} points, {} crash faults, {kills} kills, {} flaky, {} quarantined)\n",
         faults.crash.len(),
@@ -206,9 +201,10 @@ fn main() {
             if sidecar_hit { "hit" } else { "MISS" },
         );
         assert!(same, "threads {threads}: recovered bytes diverged");
-        assert!(
-            interrupted >= kills,
-            "threads {threads}: expected >= {kills} interruptions, saw {interrupted}"
+        assert_eq!(
+            interrupted,
+            faults.crash.len(),
+            "threads {threads}: every crash fault must fire"
         );
         assert!(
             sidecar_hit,
@@ -319,5 +315,7 @@ fn main() {
     );
     report.finish().expect("write --jsonl output");
     assert!(byte_identical, "every recovered campaign must match");
-    println!("abl15: PASS — crash-only recovery byte-identical under kills, torn writes, disk-full and disconnects");
+    println!(
+        "abl15: PASS — crash-only recovery byte-identical under kills, torn writes and disconnects"
+    );
 }

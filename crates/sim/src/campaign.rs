@@ -32,19 +32,19 @@
 //!   scheduler; [`CampaignLog::record`] buffers out-of-order results and
 //!   hands them to the OS **in index order**, one `write` per line, so
 //!   a killed process leaves at most one truncated trailing line — which
-//!   the next resume tolerates and rewrites. Completion is therefore
-//!   always a contiguous prefix on disk; [`CampaignLog::completed`]
-//!   exposes it as a per-point bitmap.
-//! * Lines reach the disk itself when [`CampaignLog::finish`] fsyncs the
-//!   file: a finished campaign survives an OS crash, not only a killed
-//!   process.
+//!   the next resume cuts off. Completion is therefore always a
+//!   contiguous prefix on disk; [`CampaignLog::completed`] exposes it as
+//!   a per-point bitmap.
+//! * Every write is a durable step of [`crate::durable`]: lines reach
+//!   the disk itself when [`CampaignLog::finish`] fsyncs the file, so a
+//!   finished campaign survives an OS crash, not only a killed process.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::config::FaultWiringError;
+use crate::durable;
 use crate::error::{CampaignError, SweepPointError};
 use pllbist_telemetry::{Fields, Record, Value, SCHEMA_VERSION};
 
@@ -315,23 +315,6 @@ pub fn decode_point_line<C: PointCodec>(
     Some((index, outcome))
 }
 
-/// A deterministic I/O fault injected into one [`CampaignLog::record`]
-/// flush — the campaign service's torn-write / disk-full fault layer.
-pub struct InjectedWriteFault {
-    /// How many bytes of the encoded line (trailing newline included)
-    /// land on disk before the failure: `0` models disk-full rejecting
-    /// the write outright, a partial count models a torn write followed
-    /// by a crash.
-    pub torn_bytes: usize,
-    /// The error latched in the log exactly as a real failure would be
-    /// (surfaced by [`CampaignLog::finish`]).
-    pub error: std::io::Error,
-}
-
-/// Hook consulted once per flushed line, keyed by the point index about
-/// to be written. Returning `Some` makes that flush fail.
-pub type WriteFaultHook = Box<dyn Fn(usize) -> Option<InjectedWriteFault> + Send + Sync>;
-
 struct Writer {
     file: std::fs::File,
     /// First index not yet written to the file.
@@ -341,9 +324,6 @@ struct Writer {
     /// First I/O error, surfaced at [`CampaignLog::finish`] so a disk
     /// hiccup doesn't unwind sweep workers mid-point.
     io_error: Option<std::io::Error>,
-    /// Deterministic fault injection for crash-only testing; `None` in
-    /// production.
-    fault: Option<WriteFaultHook>,
 }
 
 /// An open campaign results file: the loaded completed-point prefix plus
@@ -354,7 +334,6 @@ struct Writer {
 pub struct CampaignLog<C: PointCodec> {
     codec: C,
     path: PathBuf,
-    digest: String,
     points: usize,
     loaded: Vec<Option<Result<C::Point, SweepPointError>>>,
     writer: Mutex<Writer>,
@@ -366,11 +345,13 @@ impl<C: PointCodec> CampaignLog<C> {
     ///
     /// An existing file is validated — header lines must match `digest`
     /// and `points` exactly ([`CampaignError::HeaderMismatch`] otherwise)
-    /// — and its contiguous completed prefix is loaded. A truncated
-    /// *final* line (what a kill mid-write leaves) is dropped; malformed
-    /// records anywhere else fail with [`CampaignError::Malformed`]. The
-    /// file is then rewritten as header + loaded prefix, ready for
-    /// appends.
+    /// — and its contiguous completed prefix is loaded. Only
+    /// newline-terminated lines count: a torn final line (what a kill
+    /// mid-write leaves) is dropped, and a file that died before both
+    /// header lines landed starts over. Malformed records anywhere else
+    /// fail with [`CampaignError::Malformed`]. The file is then cut back
+    /// to header + loaded prefix, never rewritten, so a kill during the
+    /// open loses no completed record.
     pub fn open(
         path: impl AsRef<Path>,
         codec: C,
@@ -384,128 +365,105 @@ impl<C: PointCodec> CampaignLog<C> {
         }
         .to_json();
         let campaign_header = Record::Campaign {
-            digest: digest.clone(),
+            digest,
             points: points as u64,
         }
         .to_json();
 
+        let existing = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        // Newline-terminated lines without their newline; `None` for a
+        // line that is not UTF-8, which matches nothing.
+        let lines: Vec<Option<&str>> = existing
+            .split_inclusive(|&b| b == b'\n')
+            .filter_map(|line| line.strip_suffix(b"\n"))
+            .map(|line| std::str::from_utf8(line).ok())
+            .collect();
+        // Only a line that round-trips exactly (decode → re-encode
+        // reproduces the bytes) counts as a record: a tear can leave a
+        // lexically parseable prefix (e.g. only the closing brace lost)
+        // that would otherwise poison byte-identical resume.
+        let exact = |line: Option<&str>| {
+            let line = line?;
+            decode_point_line(&codec, line).filter(|(index, outcome)| {
+                *index < points && encode_point_line(&codec, *index, outcome) == line
+            })
+        };
         let mut loaded: Vec<Option<Result<C::Point, SweepPointError>>> =
             (0..points).map(|_| None).collect();
-        let mut prefix_lines: Vec<String> = Vec::new();
-        if let Ok(existing) = std::fs::read_to_string(&path) {
-            let lines: Vec<&str> = existing.lines().collect();
-            // A file that died before both header lines landed is
-            // treated as empty; with both present they must match.
-            if lines.len() >= 2 {
-                if lines[0] != run_header || lines[1] != campaign_header {
-                    return Err(CampaignError::HeaderMismatch {
-                        expected: format!("{run_header} / {campaign_header}"),
-                        found: format!("{} / {}", lines[0], lines[1]),
-                    });
+        let mut completed = 0;
+        let mut keep = 0;
+        if lines.len() >= 2 {
+            if lines[0] != Some(run_header.as_str()) || lines[1] != Some(campaign_header.as_str()) {
+                return Err(CampaignError::HeaderMismatch {
+                    expected: format!("{run_header} / {campaign_header}"),
+                    found: format!(
+                        "{} / {}",
+                        lines[0].unwrap_or("<not UTF-8>"),
+                        lines[1].unwrap_or("<not UTF-8>")
+                    ),
+                });
+            }
+            keep = run_header.len() + campaign_header.len() + 2;
+            let body = &lines[2..];
+            // Accept the longest prefix of in-order records, then treat
+            // everything after it as a (possibly multi-line) torn tail: a
+            // crash mid-flush — or a filesystem journal replay zeroing
+            // trailing blocks — can damage more than one trailing line,
+            // and all of it is safely recomputable.
+            let torn_at = body.iter().position(|line| match exact(*line) {
+                Some((index, outcome)) if index == completed => {
+                    loaded[index] = Some(outcome);
+                    completed += 1;
+                    keep += line.map_or(0, str::len) + 1;
+                    false
                 }
-                let body_ends_clean = existing.ends_with('\n');
-                let body = &lines[2..];
-                // Accept the longest prefix of in-order records, then
-                // treat everything after it as a (possibly multi-line)
-                // torn tail: a crash mid-flush — or a filesystem
-                // journal replay zeroing trailing blocks — can damage
-                // more than one trailing line, and all of it is safely
-                // recomputable. The final line additionally only counts
-                // when the file ends with its newline; otherwise the
-                // kill interrupted the write and even a
-                // parseable-looking line is suspect.
-                let mut torn_at: Option<usize> = None;
-                for (offset, line) in body.iter().enumerate() {
-                    let expected_index = prefix_lines.len();
-                    let is_last = offset == body.len() - 1;
-                    // Only a line that round-trips exactly (decode →
-                    // re-encode reproduces the bytes) counts as a
-                    // record: a tear can leave a lexically parseable
-                    // prefix (e.g. only the closing brace lost) that
-                    // would otherwise poison byte-identical resume.
-                    let decoded = decode_point_line(&codec, line)
-                        .filter(|(index, _)| *index == expected_index && *index < points)
-                        .filter(|(index, outcome)| {
-                            encode_point_line(&codec, *index, outcome) == *line
+                _ => true,
+            });
+            // The torn tail may only contain *incomplete* lines. A
+            // record that still round-trips exactly is provably finished
+            // work sitting after a hole — structural corruption a
+            // recompute would silently discard, so refuse instead.
+            if let Some(start) = torn_at {
+                for (offset, line) in body.iter().enumerate().skip(start) {
+                    if let Some((index, _)) = exact(*line) {
+                        return Err(CampaignError::Malformed {
+                            line: offset + 3,
+                            reason: format!(
+                                "complete record (index {index}) after a torn tail \
+                                 starting at line {}",
+                                start + 3
+                            ),
                         });
-                    match decoded {
-                        Some((index, outcome)) if !is_last || body_ends_clean => {
-                            loaded[index] = Some(outcome);
-                            prefix_lines.push((*line).to_string());
-                        }
-                        _ => {
-                            torn_at = Some(offset);
-                            break;
-                        }
-                    }
-                }
-                // The torn tail may only contain *incomplete* lines. A
-                // record that still round-trips exactly (decode →
-                // re-encode reproduces the line) is provably finished
-                // work sitting after a hole — structural corruption a
-                // recompute would silently discard, so refuse instead.
-                if let Some(start) = torn_at {
-                    for (offset, line) in body.iter().enumerate().skip(start) {
-                        let is_last = offset == body.len() - 1;
-                        if is_last && !body_ends_clean {
-                            continue;
-                        }
-                        if let Some((index, outcome)) = decode_point_line(&codec, line) {
-                            if index < points && encode_point_line(&codec, index, &outcome) == *line
-                            {
-                                return Err(CampaignError::Malformed {
-                                    line: offset + 3,
-                                    reason: format!(
-                                        "complete record (index {index}) after a torn tail \
-                                         starting at line {}",
-                                        start + 3
-                                    ),
-                                });
-                            }
-                        }
                     }
                 }
             }
         }
 
-        // Rewrite header + validated prefix: drops any truncated tail
-        // and leaves the file ready for in-order appends.
-        let mut file = std::fs::File::create(&path)?;
-        let mut head = String::new();
-        head.push_str(&run_header);
-        head.push('\n');
-        head.push_str(&campaign_header);
-        head.push('\n');
-        for line in &prefix_lines {
-            head.push_str(line);
-            head.push('\n');
+        let mut file = durable::open_truncated(&path, keep as u64)?;
+        if keep == 0 {
+            durable::write(
+                &mut file,
+                &path,
+                format!("{run_header}\n{campaign_header}\n").as_bytes(),
+            )?;
         }
-        file.write_all(head.as_bytes())?;
 
         Ok(Self {
             codec,
             path,
-            digest,
             points,
             loaded,
             writer: Mutex::new(Writer {
                 file,
-                next_flush: prefix_lines.len(),
+                next_flush: completed,
                 pending: BTreeMap::new(),
                 io_error: None,
-                fault: None,
             }),
         })
-    }
-
-    /// The results file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The campaign's config digest (as stored in the header).
-    pub fn digest(&self) -> &str {
-        &self.digest
     }
 
     /// Completed-point bitmap: `true` where the loaded file already
@@ -552,17 +510,7 @@ impl<C: PointCodec> CampaignLog<C> {
             };
             let mut buf = line.into_bytes();
             buf.push(b'\n');
-            let wrote = match writer.fault.as_ref().and_then(|hook| hook(flush_index)) {
-                Some(injected) => {
-                    // Leave exactly the torn prefix on disk, then fail
-                    // the flush the way a real short write would.
-                    let torn = injected.torn_bytes.min(buf.len());
-                    let _ = writer.file.write_all(&buf[..torn]);
-                    Err(injected.error)
-                }
-                None => writer.file.write_all(&buf),
-            };
-            if let Err(e) = wrote {
+            if let Err(e) = durable::write(&mut writer.file, &self.path, &buf) {
                 if writer.io_error.is_none() {
                     writer.io_error = Some(e);
                 }
@@ -570,18 +518,6 @@ impl<C: PointCodec> CampaignLog<C> {
             }
             writer.next_flush += 1;
         }
-    }
-
-    /// Installs (or clears) the deterministic write-fault hook. Test
-    /// and fault-injection infrastructure only; a live fault latches an
-    /// I/O error exactly like a real disk failure, so the campaign must
-    /// be reopened (crash-only restart) to make further progress.
-    pub fn set_write_fault(&self, hook: Option<WriteFaultHook>) {
-        let mut writer = match self.writer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        writer.fault = hook;
     }
 
     /// Surfaces any latched I/O error, verifies every point landed (when
@@ -604,7 +540,7 @@ impl<C: PointCodec> CampaignLog<C> {
                 ),
             });
         }
-        writer.file.sync_all().map_err(CampaignError::Io)
+        durable::sync(&writer.file, &self.path).map_err(CampaignError::Io)
     }
 }
 
@@ -874,33 +810,61 @@ mod tests {
     }
 
     #[test]
-    fn injected_write_fault_tears_the_line_and_latches_the_error() {
-        let path = tmp("write_fault.jsonl");
+    fn write_error_latches_and_reopen_resumes_from_the_clean_prefix() {
+        let path = tmp("write_error.jsonl");
         let _ = std::fs::remove_file(&path);
         let log = CampaignLog::open(&path, F64Codec, "efefefefefefefef".into(), 3).unwrap();
-        log.set_write_fault(Some(Box::new(|index| {
-            (index == 1).then(|| InjectedWriteFault {
-                torn_bytes: 7,
-                error: std::io::Error::other("injected disk full"),
-            })
-        })));
         log.record(0, &Ok(10.0));
+        // A read-only handle on the same file: the next write fails with
+        // EBADF, as a dying disk would fail it.
+        log.writer.lock().unwrap().file = std::fs::File::open(&path).unwrap();
         log.record(1, &Ok(20.0));
-        // The log is dead after the fault: later records buffer but
+        // The log is dead after the error: later records buffer but
         // never land, and finish() surfaces the latched error.
         log.record(2, &Ok(30.0));
-        let err = log.finish(true).expect_err("latched fault must surface");
+        let err = log.finish(true).expect_err("latched error must surface");
         assert!(matches!(err, CampaignError::Io(_)), "{err}");
         drop(log);
         let text = std::fs::read_to_string(&path).unwrap();
-        // On disk: both headers, record 0, then exactly 7 torn bytes.
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[3].len(), 7);
+        // On disk: both headers and record 0, nothing after.
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.ends_with('\n'));
         // Crash-only restart recovers record 0 and recomputes the rest.
         let log = CampaignLog::open(&path, F64Codec, "efefefefefefefef".into(), 3).unwrap();
-        assert_eq!(log.completed_count(), 1);
-        assert!(log.is_completed(0));
+        assert_eq!(log.completed(), vec![true, false, false]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_cuts_the_torn_tail_and_keeps_the_prefix_bytes() {
+        let path = tmp("cut.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let log = CampaignLog::open(&path, F64Codec, "1212121212121212".into(), 3).unwrap();
+        log.record(0, &Ok(1.0));
+        log.record(1, &Ok(2.0));
+        log.finish(false).unwrap();
+        drop(log);
+        let clean = std::fs::read(&path).unwrap();
+        let mut torn = clean.clone();
+        torn.extend_from_slice(b"{\"type\":\"result\",\"na");
+        std::fs::write(&path, &torn).unwrap();
+        let log = CampaignLog::open(&path, F64Codec, "1212121212121212".into(), 3).unwrap();
+        assert_eq!(log.completed_count(), 2);
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), clean);
+        // A header torn before its newline starts the file over.
+        let header_end = clean.iter().position(|&b| b == b'\n').unwrap();
+        std::fs::write(&path, &clean[..header_end + 5]).unwrap();
+        let log = CampaignLog::open(&path, F64Codec, "1212121212121212".into(), 3).unwrap();
+        assert_eq!(log.completed_count(), 0);
+        drop(log);
+        let headers: Vec<u8> = clean
+            .split_inclusive(|&b| b == b'\n')
+            .take(2)
+            .flatten()
+            .copied()
+            .collect();
+        assert_eq!(std::fs::read(&path).unwrap(), headers);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -83,9 +83,8 @@ pub const ERROR_KINDS: &[&str] = &[
     "degenerate_fit",
 ];
 
-/// Panic payload modelling a **SIGKILL-equivalent process death** for
-/// the crash-only campaign service's deterministic fault injection
-/// ([`crate::service::FaultPlan`]).
+/// Panic payload modelling a **SIGKILL-equivalent process death**: an
+/// injected crash at a durable step ([`crate::durable::CrashFault`]).
 ///
 /// Ordinary panics are *contained* per point (caught at the point
 /// boundary and rendered as [`SweepPointError::WorkerPanic`], so one
@@ -96,15 +95,11 @@ pub const ERROR_KINDS: &[&str] = &[
 /// [`rethrow_if_kill`] and **re-raises** this marker instead of
 /// recording it — the unwind propagates through the worker scope to the
 /// job boundary, where the service catches it, marks the job
-/// interrupted and resumes from the on-disk prefix. The killed point is
-/// never written, so the resumed file stays byte-identical to an
-/// uninterrupted run's.
+/// interrupted and resumes from the on-disk prefix. A killed write
+/// leaves at most a torn tail, which the resume cuts, so the resumed
+/// file stays byte-identical to an uninterrupted run's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InjectedKill {
-    /// Which scheduled kill fired (index into the fault plan), for
-    /// journals and post-mortems.
-    pub sequence: u32,
-}
+pub struct InjectedKill;
 
 /// Re-raises `payload` when it is an [`InjectedKill`]; otherwise hands
 /// it back for normal per-point containment. Call this first inside

@@ -63,6 +63,7 @@ pub mod bench_measure;
 pub mod campaign;
 pub mod config;
 pub mod cosim;
+pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod event_driven;

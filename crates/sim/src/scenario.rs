@@ -371,8 +371,8 @@ impl<R> PlanOutcome<R> {
 
 /// A [`CampaignPlan`] opened over a grid — the open step of
 /// [`run_plan`], for callers that need the run before it starts: the
-/// service installs its write-fault hook on the [`log`](Self::log), the
-/// monitor takes its nominal reading on the [`telemetry`](Self::telemetry).
+/// service tells a refused results file from a failed open, the monitor
+/// takes its nominal reading on the [`telemetry`](Self::telemetry).
 pub struct PlanRun<'p, E: PllEngine, C: PointCodec> {
     plan: &'p CampaignPlan<E>,
     f_mod_hz: &'p [f64],
@@ -432,11 +432,6 @@ impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
     /// The run's collector, drained into [`PlanOutcome::telemetry`].
     pub fn telemetry(&self) -> &Collector {
         &self.telemetry
-    }
-
-    /// The open results file, if any.
-    pub fn log(&self) -> Option<&CampaignLog<C>> {
-        self.log.as_ref()
     }
 
     /// Runs the grid with every plan option composed in, closes the

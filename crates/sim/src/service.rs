@@ -19,29 +19,33 @@
 //!
 //! # Job directory layout
 //!
-//! Each job lives in `<root>/job-<digest>/`:
+//! Each job lives in `<root>/job-<digest>/`. Every write there except
+//! the flight dump goes through [`crate::durable`]:
 //!
-//! | file                    | contents                                    |
-//! |-------------------------|---------------------------------------------|
-//! | `submit.jsonl`          | the submission, persisted temp+rename       |
-//! | `job.jsonl`             | append-only lifecycle journal (fsynced)     |
-//! | `campaign.jsonl`        | the `CampaignLog` results file              |
-//! | `campaign.flight.jsonl` | flight-recorder dump sidecar                |
-//! | `campaign.ckpt`         | `LockSidecar` settled-lock checkpoint       |
+//! | file                    | contents                            | written by            |
+//! |-------------------------|-------------------------------------|-----------------------|
+//! | `submit.jsonl`          | the submission                      | `durable::replace`    |
+//! | `job.jsonl`             | append-only lifecycle journal       | `durable::append`     |
+//! | `campaign.jsonl`        | the `CampaignLog` results file      | `durable::write/sync` |
+//! | `campaign.ckpt`         | `LockSidecar` settled-lock snapshot | `durable::replace`    |
+//! | `campaign.flight.jsonl` | flight-recorder dump (diagnostics)  | the observer          |
 //!
 //! # Deterministic fault injection
 //!
-//! Robustness claims are enforced, not hoped for: a submission carries
-//! a [`FaultPlan`] (derived from the seeded testkit PRNG) that injects
-//! worker panics, retryable point failures, torn and rejected writes on
-//! the results file, torn journal appends and mid-sweep process kills
-//! ([`crate::error::InjectedKill`]) at exact, reproducible places, all
-//! outside the production capture ([`FaultPlan::wrap_capture`],
-//! [`FaultPlan::write_fault`]). The
-//! `abl15_crash_only_service` ablation drives the service through those
-//! faults plus real process kills and asserts every campaign completes
-//! with a results file byte-identical to an uninterrupted serial
-//! reference.
+//! A submission carries a [`FaultPlan`] (derived from the seeded testkit
+//! PRNG). Its point faults — retryable failures and worker panics at
+//! chosen grid indices — wrap the capture ([`FaultPlan::wrap_capture`]).
+//! Its crash faults are one [`CrashFault`] per attempt: attempt `n` arms
+//! the job directory with `crash[n]` ([`crate::durable::arm`]) from its
+//! `running` journal append through the results file's final fsync, so
+//! the attempt's durable step `step` writes its first `bytes` bytes and
+//! the attempt dies with [`crate::error::InjectedKill`]. Admission bounds
+//! the plan: at most `MAX_ATTEMPTS − 2` crashes, each at a step an
+//! attempt of the grid can reach, and point faults at distinct indices
+//! inside the grid. The `abl15_crash_only_service` ablation drives the
+//! service through those faults plus real process kills and asserts
+//! every campaign completes with a results file byte-identical to an
+//! uninterrupted serial reference.
 
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -52,10 +56,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::behavioral::CpPll;
-use crate::campaign::{
-    bits_hex, f64_from_bits_hex, InjectedWriteFault, PointCodec, WriteFaultHook,
-};
+use crate::campaign::{bits_hex, f64_from_bits_hex, PointCodec};
 use crate::config::{DriveConfig, FilterConfig, PllConfig};
+use crate::durable::{self, Armed};
 use crate::engine::{ClosedFormPll, PllEngine};
 use crate::error::{CampaignError, InjectedKill, SweepPointError};
 use crate::event_driven::EventDrivenCpPll;
@@ -77,14 +80,19 @@ const SERVE_BIN: &str = "serve";
 const EVENT_RECORD: &str = "job.event";
 /// Submission spec record name.
 const SPEC_RECORD: &str = "job.spec";
-/// Attempts per job before it is journaled `failed`, raised to cover
-/// the job's injected crash schedule.
+/// Attempts per job before it is journaled `failed`. Admission allows
+/// at most `MAX_ATTEMPTS − 2` crash faults, so a job always keeps two
+/// attempts that no injected crash touches.
 const MAX_ATTEMPTS: u32 = 16;
+/// Durable steps an attempt takes besides one results line per point:
+/// the `running` append, the results header, the sidecar store and the
+/// results file's final fsync.
+const FIXED_STEPS: usize = 4;
 /// A servable backend: its tag, its admission check and its attempt.
 type Backend = (
     fn() -> &'static str,
     fn(&JobSpec) -> Result<(), String>,
-    fn(&ServiceState, &Path, &JobSpec, u32) -> Result<String, AttemptError>,
+    fn(&ServiceState, &Path, &JobSpec, u32, Option<&Armed>) -> Result<String, AttemptError>,
 );
 
 /// Backends the service can instantiate: the one list of them.
@@ -288,37 +296,7 @@ pub fn config_from_wire(wire: &str) -> Option<PllConfig> {
 // Fault plan
 // ---------------------------------------------------------------------------
 
-/// One process-level fault in a [`FaultPlan`], consumed one per attempt
-/// (attempt `n` draws `crash[n]`; attempts past the end run fault-free,
-/// which is what guarantees eventual completion).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CrashFault {
-    /// Panic the sweep with an [`InjectedKill`] after this many point
-    /// captures — the in-process stand-in for SIGKILL mid-sweep.
-    Kill {
-        /// Captures before the kill fires.
-        after_points: usize,
-    },
-    /// [`CrashFault::Kill`], and additionally tear the journal append
-    /// that records the interruption (a crash racing its own journal).
-    KillTearingJournal {
-        /// Captures before the kill fires.
-        after_points: usize,
-    },
-    /// Tear the nth results-file flush after `keep_bytes` bytes and
-    /// latch the write error (kill mid-`write(2)`).
-    TornResultWrite {
-        /// Zero-based flush ordinal the fault fires on.
-        at_flush: usize,
-        /// Bytes of the encoded line that land on disk.
-        keep_bytes: usize,
-    },
-    /// Reject the nth results-file flush outright (disk full).
-    ResultDiskFull {
-        /// Zero-based flush ordinal the fault fires on.
-        at_flush: usize,
-    },
-}
+pub use crate::durable::CrashFault;
 
 /// A deterministic fault schedule carried inside a submission.
 ///
@@ -335,7 +313,8 @@ pub struct FaultPlan {
     /// Grid indices whose capture panics — quarantined deterministically
     /// by the supervisor as a worker panic.
     pub flaky_quarantine: Vec<usize>,
-    /// Process-level faults, one consumed per attempt.
+    /// Crash faults: attempt `n` crashes at `crash[n]`; attempts past
+    /// the end run crash-free, which is what guarantees completion.
     pub crash: Vec<CrashFault>,
 }
 
@@ -347,7 +326,9 @@ impl FaultPlan {
 
     /// A reproducible fault schedule from the seeded testkit PRNG:
     /// roughly a quarter of points flaky-retryable, a further sliver
-    /// quarantined, plus `kills` process-level faults of mixed kinds.
+    /// quarantined, plus `kills` crash faults at steps an attempt of
+    /// `points` points can reach, half of them plain kills (`bytes = 0`)
+    /// and half torn writes.
     pub fn from_seed(seed: u64, points: usize, kills: usize) -> Self {
         let mut rng = TestRng::seed_from_u64(seed);
         let mut plan = Self::none();
@@ -360,22 +341,13 @@ impl FaultPlan {
             }
         }
         for _ in 0..kills {
-            let crash = match rng.u64_range(0, 4) {
-                0 => CrashFault::Kill {
-                    after_points: rng.usize_range(1, points.max(2)),
-                },
-                1 => CrashFault::KillTearingJournal {
-                    after_points: rng.usize_range(1, points.max(2)),
-                },
-                2 => CrashFault::TornResultWrite {
-                    at_flush: rng.usize_range(0, points.max(1)),
-                    keep_bytes: rng.usize_range(0, 24),
-                },
-                _ => CrashFault::ResultDiskFull {
-                    at_flush: rng.usize_range(0, points.max(1)),
-                },
+            let step = rng.usize_range(0, points + FIXED_STEPS);
+            let bytes = if rng.next_bool() {
+                rng.usize_range(1, 24)
+            } else {
+                0
             };
-            plan.crash.push(crash);
+            plan.crash.push(CrashFault { step, bytes });
         }
         plan
     }
@@ -390,33 +362,25 @@ impl FaultPlan {
         }
     }
 
-    /// Wraps an indexed capture with the point-level faults and attempt
-    /// `attempt`'s kill, so no injection lives in the capture itself: a
-    /// scheduled kill unwinds with [`InjectedKill`] once `after_points`
-    /// captures have started, a `flaky_quarantine` index panics, and a
-    /// `flaky_retry` index fails its first capture of the attempt. Faults
-    /// key on the runner's grid index, never on the frequency.
+    /// Wraps one attempt's indexed capture with the point-level faults,
+    /// so no injection lives in the capture itself: a `flaky_quarantine`
+    /// index panics, and a `flaky_retry` index fails its first capture of
+    /// the attempt. Faults key on the runner's grid index, never on the
+    /// frequency. Once the attempt's armed `crash` has fired, every
+    /// capture unwinds with [`InjectedKill`]: the process is dead.
     pub fn wrap_capture<'a, E, P, F>(
         &'a self,
-        attempt: u32,
+        crash: Option<&'a Armed>,
         capture: F,
     ) -> impl Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<P, SweepPointError> + Sync + 'a
     where
         E: PllEngine,
         F: Fn(&mut Supervised<E>, usize, f64, &Collector) -> Result<P, SweepPointError> + Sync + 'a,
     {
-        let kill_after = match self.crash.get(attempt as usize) {
-            Some(CrashFault::Kill { after_points })
-            | Some(CrashFault::KillTearingJournal { after_points }) => Some(*after_points),
-            _ => None,
-        };
-        let captures = AtomicUsize::new(0);
         let retried = Mutex::new(BTreeSet::new());
         move |pll, index, f_mod, telemetry| {
-            if let Some(limit) = kill_after {
-                if captures.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
-                    std::panic::panic_any(InjectedKill { sequence: attempt });
-                }
+            if crash.is_some_and(Armed::fired) {
+                std::panic::panic_any(InjectedKill);
             }
             if self.flaky_quarantine.contains(&index) {
                 panic!("injected worker panic at point {index}");
@@ -428,116 +392,46 @@ impl FaultPlan {
         }
     }
 
-    /// The results-file fault of attempt `attempt` as a
-    /// [`crate::campaign::CampaignLog::set_write_fault`] hook: a
-    /// [`CrashFault::TornResultWrite`] or [`CrashFault::ResultDiskFull`]
-    /// fires on its nth flush. `None` when the attempt schedules neither.
-    pub fn write_fault(&self, attempt: u32) -> Option<WriteFaultHook> {
-        let (at, torn_bytes, what) = match self.crash.get(attempt as usize)? {
-            CrashFault::TornResultWrite {
-                at_flush,
-                keep_bytes,
-            } => (*at_flush, *keep_bytes, "injected torn write"),
-            CrashFault::ResultDiskFull { at_flush } => (*at_flush, 0, "injected disk full"),
-            _ => return None,
-        };
-        let flushes = AtomicUsize::new(0);
-        Some(Box::new(move |_index| {
-            (flushes.fetch_add(1, Ordering::SeqCst) == at).then(|| InjectedWriteFault {
-                torn_bytes,
-                error: std::io::Error::other(what),
-            })
-        }))
-    }
-
-    /// Serialises the plan for transport inside a submission.
+    /// Serialises the plan for transport inside a submission:
+    /// `fp1|retry:<i>,…|panic:<i>,…|crash:<step>.<bytes>;…`, `-` for an
+    /// empty list.
     pub fn to_wire(&self) -> String {
-        let csv = |v: &[usize]| -> String {
-            if v.is_empty() {
-                "-".to_string()
-            } else {
-                v.iter()
-                    .map(|i| i.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
+        fn list<T>(items: &[T], sep: &str, item: impl Fn(&T) -> String) -> String {
+            if items.is_empty() {
+                return "-".to_string();
             }
-        };
-        let crash = if self.crash.is_empty() {
-            "-".to_string()
-        } else {
-            self.crash
-                .iter()
-                .map(|c| match c {
-                    CrashFault::Kill { after_points } => format!("k{after_points}"),
-                    CrashFault::KillTearingJournal { after_points } => format!("K{after_points}"),
-                    CrashFault::TornResultWrite {
-                        at_flush,
-                        keep_bytes,
-                    } => format!("t{at_flush}.{keep_bytes}"),
-                    CrashFault::ResultDiskFull { at_flush } => format!("f{at_flush}"),
-                })
-                .collect::<Vec<_>>()
-                .join(";")
-        };
+            items.iter().map(item).collect::<Vec<_>>().join(sep)
+        }
         format!(
-            "fp1|retry:{}|panic:{}|crash:{crash}",
-            csv(&self.flaky_retry),
-            csv(&self.flaky_quarantine),
+            "fp1|retry:{}|panic:{}|crash:{}",
+            list(&self.flaky_retry, ",", ToString::to_string),
+            list(&self.flaky_quarantine, ",", ToString::to_string),
+            list(&self.crash, ";", |c| format!("{}.{}", c.step, c.bytes)),
         )
     }
 
     /// Inverse of [`to_wire`](Self::to_wire); `None` on malformed input.
     pub fn from_wire(wire: &str) -> Option<Self> {
-        let mut parts = wire.split('|');
-        if parts.next()? != "fp1" {
-            return None;
-        }
-        let csv = |s: &str| -> Option<Vec<usize>> {
+        fn list<T>(s: &str, sep: char, item: impl Fn(&str) -> Option<T>) -> Option<Vec<T>> {
             if s == "-" {
-                Some(Vec::new())
-            } else {
-                s.split(',').map(|t| t.parse().ok()).collect()
+                return Some(Vec::new());
             }
-        };
-        let retry = parts.next()?.strip_prefix("retry:")?.to_string();
-        let panic = parts.next()?.strip_prefix("panic:")?.to_string();
-        let crash_s = parts.next()?.strip_prefix("crash:")?.to_string();
-        if parts.next().is_some() {
-            return None;
+            s.split(sep).map(item).collect()
         }
-        let crash = if crash_s == "-" {
-            Vec::new()
-        } else {
-            crash_s
-                .split(';')
-                .map(|tok| -> Option<CrashFault> {
-                    let rest = tok.get(1..)?;
-                    match tok.chars().next()? {
-                        'k' => Some(CrashFault::Kill {
-                            after_points: rest.parse().ok()?,
-                        }),
-                        'K' => Some(CrashFault::KillTearingJournal {
-                            after_points: rest.parse().ok()?,
-                        }),
-                        't' => {
-                            let (at, keep) = rest.split_once('.')?;
-                            Some(CrashFault::TornResultWrite {
-                                at_flush: at.parse().ok()?,
-                                keep_bytes: keep.parse().ok()?,
-                            })
-                        }
-                        'f' => Some(CrashFault::ResultDiskFull {
-                            at_flush: rest.parse().ok()?,
-                        }),
-                        _ => None,
-                    }
-                })
-                .collect::<Option<Vec<_>>>()?
+        let ["fp1", retry, panic, crash] = wire.split('|').collect::<Vec<_>>()[..] else {
+            return None;
         };
+        let index = |t: &str| t.parse().ok();
         Some(Self {
-            flaky_retry: csv(&retry)?,
-            flaky_quarantine: csv(&panic)?,
-            crash,
+            flaky_retry: list(retry.strip_prefix("retry:")?, ',', index)?,
+            flaky_quarantine: list(panic.strip_prefix("panic:")?, ',', index)?,
+            crash: list(crash.strip_prefix("crash:")?, ';', |tok| {
+                let (step, bytes) = tok.split_once('.')?;
+                Some(CrashFault {
+                    step: step.parse().ok()?,
+                    bytes: bytes.parse().ok()?,
+                })
+            })?,
         })
     }
 }
@@ -619,10 +513,13 @@ impl JobSpec {
     /// the config ([`PllEngine::check_class`]), the grid is empty /
     /// non-finite / non-positive / has duplicate bit patterns, the
     /// point count disagrees with the grid, or the header's digest is not
-    /// the one its plan, config, grid and salt rebuild. The runner keys
-    /// captures and faults by grid index, so a repeated frequency would
-    /// run; it is refused here as outside input that measures one tone
-    /// twice, which is a client mistake rather than a campaign.
+    /// the one its plan, config, grid and salt rebuild, or the fault plan
+    /// is out of bounds: more than `MAX_ATTEMPTS − 2` crash faults, a
+    /// crash step no attempt of the grid reaches, or a point-fault index
+    /// outside the grid or repeated. The runner keys captures and
+    /// faults by grid index, so a repeated frequency would run; it is
+    /// refused here as outside input that measures one tone twice, which
+    /// is a client mistake rather than a campaign.
     pub fn parse(body: &str) -> Result<Self, String> {
         let header = body
             .lines()
@@ -676,6 +573,7 @@ impl JobSpec {
             .ok_or("threads must be in 1..=256")?;
         let faults_wire = json_str_field(spec_line, "faults").ok_or("spec missing faults")?;
         let faults = FaultPlan::from_wire(&faults_wire).ok_or("malformed fault plan")?;
+        check_faults(&faults, grid.len())?;
         let spec = Self {
             header,
             config,
@@ -689,6 +587,37 @@ impl JobSpec {
         admit(&spec)?;
         Ok(spec)
     }
+}
+
+/// Bounds a submitted fault plan, so the untrusted wire cannot set the
+/// attempt budget or name faults that never fire: at most
+/// `MAX_ATTEMPTS − 2` crash faults, each at a durable step an attempt of
+/// a `points`-point grid can reach, and point faults at distinct indices
+/// inside the grid.
+fn check_faults(faults: &FaultPlan, points: usize) -> Result<(), String> {
+    let max_crashes = (MAX_ATTEMPTS - 2) as usize;
+    if faults.crash.len() > max_crashes {
+        return Err(format!(
+            "{} crash faults, at most {max_crashes} allowed",
+            faults.crash.len()
+        ));
+    }
+    let steps = points + FIXED_STEPS;
+    if let Some(crash) = faults.crash.iter().find(|c| c.step >= steps) {
+        return Err(format!(
+            "crash step {} unreachable: an attempt takes at most {steps} durable steps",
+            crash.step
+        ));
+    }
+    let mut seen = BTreeSet::new();
+    for &index in faults.flaky_retry.iter().chain(&faults.flaky_quarantine) {
+        if index >= points || !seen.insert(index) {
+            return Err(format!(
+                "point fault index {index} is repeated or outside the {points}-point grid"
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -707,22 +636,13 @@ fn journal_event_line(state: &str, attempt: u32, detail: &str) -> String {
     .to_json()
 }
 
-/// Appends one event to an append-only journal, durably.
-///
-/// Self-healing by construction: if the existing file does not end in a
-/// newline (a previous append was torn mid-crash), a newline is written
-/// first so the torn fragment can never concatenate with — and destroy
-/// — this record. The write is fsynced before returning; crash-only
-/// recovery reads the journal as ground truth.
+/// Appends one event to an append-only journal with
+/// [`durable::append`], which heals a torn previous append and fsyncs.
+/// A new journal starts with its run header. Crash-only recovery reads
+/// the journal as ground truth.
 fn journal_append(path: &Path, state: &str, attempt: u32, detail: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let existing = std::fs::read(path).unwrap_or_default();
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
     let mut out = String::new();
-    if existing.is_empty() {
+    if std::fs::metadata(path).map_or(true, |m| m.len() == 0) {
         out.push_str(
             &Record::Run {
                 bin: SERVE_BIN.to_string(),
@@ -731,34 +651,17 @@ fn journal_append(path: &Path, state: &str, attempt: u32, detail: &str) -> std::
             .to_json(),
         );
         out.push('\n');
-    } else if existing.last() != Some(&b'\n') {
-        out.push('\n');
     }
     out.push_str(&journal_event_line(state, attempt, detail));
     out.push('\n');
-    file.write_all(out.as_bytes())?;
-    file.sync_all()
-}
-
-/// A deliberately torn [`journal_append`]: only the first `keep` bytes
-/// of the record land, with no trailing newline and no fsync — what a
-/// crash racing its own journal write leaves behind.
-fn journal_append_torn(path: &Path, state: &str, attempt: u32, detail: &str, keep: usize) {
-    use std::io::Write;
-    let line = journal_event_line(state, attempt, detail);
-    let keep = keep.min(line.len());
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        let _ = file.write_all(&line.as_bytes()[..keep]);
-    }
+    durable::append(path, out.as_bytes())
 }
 
 /// Replays a journal: `(last parseable state, attempts started)`.
-/// Unparsable lines — torn appends — are skipped, never fatal. A
-/// missing or empty journal reads as `("queued", 0)`.
+/// Unparsable lines — torn appends — are skipped, never fatal. Attempt
+/// `n` has started once a `running` or an `interrupted` event names it:
+/// a crash can tear the `running` append itself. A missing or empty
+/// journal reads as `("queued", 0)`.
 fn journal_summary(path: &Path) -> (String, u32) {
     let mut state = "queued".to_string();
     let mut attempts: u32 = 0;
@@ -768,8 +671,11 @@ fn journal_summary(path: &Path) -> (String, u32) {
                 continue;
             }
             if let Some(s) = json_str_field(line, "state") {
-                if s == "running" {
-                    attempts = attempts.saturating_add(1);
+                if s == "running" || s == "interrupted" {
+                    if let Some(attempt) = json_u64_field(line, "attempt") {
+                        let started = u32::try_from(attempt).unwrap_or(u32::MAX);
+                        attempts = attempts.max(started.saturating_add(1));
+                    }
                 }
                 state = s;
             }
@@ -907,12 +813,6 @@ impl CampaignService {
     /// The bound address (the ephemeral port when `bind` asked for 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Starts a graceful drain: new submissions get `503`, queued jobs
-    /// still run to completion. Idempotent.
-    pub fn drain(&self) {
-        drain_state(&self.state);
     }
 
     /// Drains, waits for queued jobs to finish, stops the listener and
@@ -1246,12 +1146,10 @@ fn submit_job(state: &Arc<ServiceState>, stream: &mut TcpStream, body: &[u8]) {
     }
 }
 
-/// Persists a submission durably: temp file, fsync, atomic rename.
+/// Persists a submission durably: the job directory is created and the
+/// root fsynced, then the file is written with [`durable::replace`].
 fn persist_submission(dir: &Path, body: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let final_path = dir.join("submit.jsonl");
-    let tmp_path = dir.join("submit.jsonl.tmp");
+    durable::create_dir(dir)?;
     let mut out = Record::Run {
         bin: SERVE_BIN.to_string(),
         schema: SCHEMA_VERSION,
@@ -1262,11 +1160,7 @@ fn persist_submission(dir: &Path, body: &str) -> std::io::Result<()> {
     if !out.ends_with('\n') {
         out.push('\n');
     }
-    let mut file = std::fs::File::create(&tmp_path)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp_path, &final_path)
+    durable::replace(&dir.join("submit.jsonl"), out.as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -1294,21 +1188,27 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
             if last == "done" {
                 return finish_job(state, job_id, "done", None);
             }
-            let budget = MAX_ATTEMPTS.max(spec.faults.crash.len() as u32 + 2);
-            if attempts >= budget {
-                let reason = format!("attempt budget {budget} exhausted");
+            if attempts >= MAX_ATTEMPTS {
+                let reason = format!("attempt budget {MAX_ATTEMPTS} exhausted");
                 return finish_job(state, job_id, "failed", Some((attempts, &reason)));
             }
-            let _ = journal_append(
-                &journal,
-                "running",
-                attempts,
-                &format!("attempt {attempts} started"),
-            );
-            let crash = spec.faults.crash.get(attempts as usize);
+            // The attempt's crash window: its `running` append through the
+            // results file's final fsync.
+            let crash = spec
+                .faults
+                .crash
+                .get(attempts as usize)
+                .map(|&fault| durable::arm(&dir, fault));
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dispatch_attempt(state, &dir, &spec, attempts)
+                let _ = journal_append(
+                    &journal,
+                    "running",
+                    attempts,
+                    &format!("attempt {attempts} started"),
+                );
+                dispatch_attempt(state, &dir, &spec, attempts, crash.as_ref())
             }));
+            drop(crash);
             *lock(&state.current_observer) = None;
             match outcome {
                 Ok(Ok(summary)) => {
@@ -1320,28 +1220,16 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
                 Ok(Err(AttemptError::Interrupted(reason))) => {
                     let _ = journal_append(&journal, "interrupted", attempts, &reason);
                 }
+                Err(payload) if payload.is::<InjectedKill>() => {
+                    let _ = journal_append(&journal, "interrupted", attempts, "injected kill");
+                }
                 Err(payload) => {
-                    if payload.downcast_ref::<InjectedKill>().is_some() {
-                        if matches!(crash, Some(CrashFault::KillTearingJournal { .. })) {
-                            journal_append_torn(
-                                &journal,
-                                "interrupted",
-                                attempts,
-                                "killed mid-journal-write",
-                                12,
-                            );
-                        } else {
-                            let _ =
-                                journal_append(&journal, "interrupted", attempts, "injected kill");
-                        }
-                    } else {
-                        let reason = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&str>().copied())
-                            .unwrap_or("worker panic escaped the sweep");
-                        return finish_job(state, job_id, "failed", Some((attempts, reason)));
-                    }
+                    let reason = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("worker panic escaped the sweep");
+                    return finish_job(state, job_id, "failed", Some((attempts, reason)));
                 }
             }
         },
@@ -1376,9 +1264,10 @@ fn dispatch_attempt(
     dir: &Path,
     spec: &JobSpec,
     attempt: u32,
+    crash: Option<&Armed>,
 ) -> Result<String, AttemptError> {
     match servable(&spec.backend) {
-        Some((_, _, execute)) => execute(state, dir, spec, attempt),
+        Some((_, _, execute)) => execute(state, dir, spec, attempt, crash),
         None => Err(AttemptError::Fatal(format!(
             "unknown backend \"{}\"",
             spec.backend
@@ -1388,12 +1277,14 @@ fn dispatch_attempt(
 
 /// One attempt at a job: the submitted plan with the job directory's
 /// results file, sidecar and observer attached, run through the one plan
-/// entry with the attempt's faults wrapped around the capture.
+/// entry with the point faults wrapped around the capture. `crash` is
+/// the attempt's armed crash fault, if any.
 fn execute_attempt<E: PllEngine>(
     state: &ServiceState,
     dir: &Path,
     spec: &JobSpec,
     attempt: u32,
+    crash: Option<&Armed>,
 ) -> Result<String, AttemptError> {
     let started = Instant::now();
     let plan =
@@ -1416,9 +1307,6 @@ fn execute_attempt<E: PllEngine>(
         CampaignError::Io(_) => AttemptError::Interrupted(format!("results open: {e}")),
         other => AttemptError::Fatal(format!("results rejected: {other}")),
     })?;
-    if let Some(log) = run.log() {
-        log.set_write_fault(spec.faults.write_fault(attempt));
-    }
     if attempt > 0 {
         observer.recorder().record(
             0,
@@ -1432,7 +1320,7 @@ fn execute_attempt<E: PllEngine>(
     let f_ref = spec.config.f_ref_hz;
     let outcome = run
         .run(spec.faults.wrap_capture(
-            attempt,
+            crash,
             |pll: &mut Supervised<E>, _, fm, _| -> Result<f64, SweepPointError> {
                 Scenario::stimulate(
                     pll,
@@ -1470,6 +1358,7 @@ fn execute_attempt<E: PllEngine>(
 mod tests {
     use super::*;
     use crate::server::{http_get, http_post, HttpError};
+    use pllbist_testkit::{prop_assert, prop_check};
 
     fn exotic_config() -> PllConfig {
         PllConfig {
@@ -1563,7 +1452,13 @@ mod tests {
         let path = dir.join("job.jsonl");
         journal_append(&path, "queued", 0, "submitted").expect("append");
         journal_append(&path, "running", 0, "attempt 0 started").expect("append");
-        journal_append_torn(&path, "interrupted", 0, "killed mid-journal-write", 12);
+        // A crash 12 bytes into the next append tears it.
+        let armed = durable::arm(&dir, CrashFault { step: 0, bytes: 12 });
+        let killed = std::panic::catch_unwind(|| {
+            journal_append(&path, "interrupted", 0, "killed mid-journal-write")
+        });
+        assert!(killed.is_err_and(|payload| payload.is::<InjectedKill>()));
+        drop(armed);
         let (state, attempts) = journal_summary(&path);
         // The torn record is invisible; the last durable state stands.
         assert_eq!(state, "running");
@@ -1648,6 +1543,93 @@ mod tests {
             JobSpec::parse(&submission_body(&general, &grid, "s", &FaultPlan::none()))
                 .expect("CpPll accepts every config");
         }
+        // The fault plan is bounded, so the wire cannot set the attempt
+        // budget or name a fault that never fires.
+        let with = |faults: FaultPlan| JobSpec::parse(&submission_body(&plan, &grid, "s", &faults));
+        let kill = CrashFault { step: 0, bytes: 0 };
+        let max = (MAX_ATTEMPTS - 2) as usize;
+        let last_step = CrashFault {
+            step: grid.len() + FIXED_STEPS - 1,
+            bytes: 1 << 20,
+        };
+        for admitted in [
+            FaultPlan {
+                crash: vec![kill; max],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                crash: vec![last_step],
+                flaky_retry: vec![1],
+                flaky_quarantine: vec![0],
+            },
+        ] {
+            with(admitted).expect("bounded plan admitted");
+        }
+        for hostile in [
+            FaultPlan {
+                crash: vec![kill; max + 1],
+                ..FaultPlan::none()
+            },
+            // About 40 KB on the wire: ten thousand attempts of one job.
+            FaultPlan {
+                crash: vec![kill; 10_000],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                crash: vec![CrashFault {
+                    step: last_step.step + 1,
+                    bytes: 0,
+                }],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                flaky_retry: vec![grid.len()],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                flaky_quarantine: vec![usize::MAX],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                flaky_retry: vec![1, 1],
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                flaky_retry: vec![0],
+                flaky_quarantine: vec![0],
+                ..FaultPlan::none()
+            },
+        ] {
+            let reason = with(hostile.clone()).expect_err(&hostile.to_wire());
+            assert!(
+                reason.contains("crash") || reason.contains("point fault"),
+                "{reason}"
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_fault_plans_are_admitted_on_service_sized_grids() {
+        let plan = CampaignPlan::new(PllConfig::paper_table3()).engine::<ClosedFormPll>();
+        let grids: Vec<Vec<f64>> = [64, 256]
+            .iter()
+            .map(|&n| (1..=n).map(f64::from).collect())
+            .collect();
+        prop_check!(cases: 64, |g| {
+            let seed = g.u64_range(0, u64::MAX);
+            let kills = g.usize_range(0, MAX_ATTEMPTS as usize - 1);
+            for grid in &grids {
+                let faults = FaultPlan::from_seed(seed, grid.len(), kills);
+                let body = submission_body(&plan, grid, "prop", &faults);
+                let parsed = JobSpec::parse(&body);
+                prop_assert!(
+                    parsed.is_ok(),
+                    "seed {seed}, {} points, {kills} kills: {parsed:?}",
+                    grid.len()
+                );
+            }
+            Ok(())
+        });
     }
 
     /// A service on a fresh root with one small closed-form job run to

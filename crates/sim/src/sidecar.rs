@@ -18,9 +18,10 @@
 //!   sidecar and the run re-settles exactly as before;
 //! * a torn or garbled file (kill mid-write) likewise rejects — the
 //!   token codecs refuse any truncated prefix;
-//! * the file is written via temp-file + rename, so a crash during
-//!   `store` leaves either the old sidecar or the new one, never a
-//!   half-written file at the final path;
+//! * the file is written by `durable::replace` (temp file,
+//!   fsync, rename, directory fsync), so a crash during `store` leaves
+//!   either the old sidecar or the new one, never a half-written file at
+//!   the final path;
 //! * backends whose state cannot be persisted bit-exactly (noise RNG
 //!   attached, gate-level cosim) simply decline
 //!   ([`PllEngine::encode_checkpoint`] returns `None`) and nothing is
@@ -32,10 +33,10 @@
 //! invariant extended across process death (asserted end-to-end by
 //! `abl15_crash_only_service`).
 
+use crate::durable;
 use crate::engine::PllEngine;
 use pllbist_telemetry::json::json_str_field;
 use pllbist_telemetry::{Fields, Record, Value, SCHEMA_VERSION};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The `bin` tag in a sidecar's run header.
@@ -85,11 +86,6 @@ impl LockSidecar {
         &self.path
     }
 
-    /// The campaign digest this sidecar is bound to.
-    pub fn digest(&self) -> &str {
-        &self.digest
-    }
-
     /// Persists a settled-lock snapshot. Returns `Ok(true)` when the
     /// file was written, `Ok(false)` when the backend declines
     /// persistence (nothing written, any stale sidecar removed so it
@@ -97,7 +93,7 @@ impl LockSidecar {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from the temp-file write or rename.
+    /// Propagates filesystem errors from `durable::replace`.
     pub fn store<E: PllEngine>(&self, snapshot: &E::Checkpoint) -> Result<bool, std::io::Error> {
         let Some(token) = E::encode_checkpoint(snapshot) else {
             let _ = std::fs::remove_file(&self.path);
@@ -124,15 +120,7 @@ impl LockSidecar {
             }
             .to_json()
         );
-        // Temp-file + rename: a kill mid-store leaves the previous
-        // sidecar (or none), never a torn file at the final path.
-        let tmp = self.path.with_extension("ckpt.tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(body.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        durable::replace(&self.path, body.as_bytes())?;
         Ok(true)
     }
 
@@ -186,11 +174,6 @@ impl LockSidecar {
             None => SidecarOutcome::Rejected("sidecar state token undecodable".to_string()),
         }
     }
-
-    /// Removes the sidecar file if present (job cleanup).
-    pub fn remove(&self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +222,7 @@ mod tests {
             );
             assert_eq!(a.control_voltage().to_bits(), b.control_voltage().to_bits());
             assert_eq!(a.work_stats(), b.work_stats());
-            sidecar.remove();
+            std::fs::remove_file(sidecar.path()).unwrap();
             assert_eq!(
                 std::mem::discriminant(&sidecar.load::<E>()),
                 std::mem::discriminant(&SidecarOutcome::Absent)
@@ -277,7 +260,7 @@ mod tests {
                 "truncation at {cut} must not load"
             );
         }
-        sidecar.remove();
+        std::fs::remove_file(sidecar.path()).unwrap();
     }
 
     #[test]

@@ -117,20 +117,26 @@ fn submitted_campaign_runs_to_done_and_resubmission_is_idempotent() {
 
 #[test]
 fn faulted_campaign_recovers_byte_identical_to_unfaulted_reference() {
-    // The tentpole contract: a campaign battered by kills, torn writes,
-    // a torn journal append and a disk-full rejection must converge to
-    // the *same bytes* an uninterrupted single-threaded reference
-    // produces — point faults (retries, quarantines) included.
+    // The tentpole contract: a campaign battered by kills, a torn
+    // results line and a torn journal append must converge to the *same
+    // bytes* an uninterrupted single-threaded reference produces — point
+    // faults (retries, quarantines) included. An attempt's durable steps
+    // are its `running` append, the results header and the sidecar store
+    // when the file and sidecar are new, one step per results line, and
+    // the final fsync.
     let grid = [2.0, 4.5, 7.0, 11.0, 16.0, 23.0];
     let mut faults = FaultPlan::from_seed(11, grid.len(), 0);
+    let crash = |step, bytes| CrashFault { step, bytes };
     faults.crash = vec![
-        CrashFault::Kill { after_points: 2 },
-        CrashFault::TornResultWrite {
-            at_flush: 1,
-            keep_bytes: 7,
-        },
-        CrashFault::KillTearingJournal { after_points: 1 },
-        CrashFault::ResultDiskFull { at_flush: 2 },
+        // Attempt 0 (steps: running, header, sidecar, lines 0..): killed
+        // before line 2 lands.
+        crash(5, 0),
+        // Attempt 1 (steps: running, lines 2..): line 3 torn at 7 bytes.
+        crash(2, 7),
+        // Attempt 2: its own `running` append torn at 12 bytes.
+        crash(0, 12),
+        // Attempt 3: killed before line 5 lands.
+        crash(3, 0),
     ];
     assert!(
         !faults.flaky_retry.is_empty(),
@@ -169,16 +175,16 @@ fn faulted_campaign_recovers_byte_identical_to_unfaulted_reference() {
         "recovered campaign must be byte-identical to the reference"
     );
 
-    // The journal tells the whole story: four interruptions (one of
-    // them torn mid-append and healed), then done.
+    // The journal tells the whole story: four interruptions (one after
+    // a torn `running` append, healed), then done.
     let journal = std::fs::read_to_string(job_dir(&hot_root).join("job.jsonl")).expect("journal");
-    assert!(
+    assert_eq!(
         journal
             .lines()
-            .filter(|l| l.contains("interrupted"))
-            .count()
-            >= 3,
-        "interruptions journaled:\n{journal}"
+            .filter(|l| l.contains("\"interrupted\""))
+            .count(),
+        faults.crash.len(),
+        "every crash fired and was journaled:\n{journal}"
     );
     let done_line = journal
         .lines()
@@ -483,4 +489,5 @@ fn renamed_results_file_resumes_without_recomputing_points() {
     );
     assert_eq!(outcome.points.len(), grid.len());
     assert!(outcome.points.iter().all(|p| p.is_ok()));
+    let _ = std::fs::remove_dir_all(&dir);
 }

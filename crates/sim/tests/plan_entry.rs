@@ -80,10 +80,11 @@ fn captures_see_every_index_once_and_faults_land_on_their_index() {
         };
         let called = per_index();
         let reached = per_index();
-        let wrapped = faults.wrap_capture(0, |pll: &mut Supervised<ClosedFormPll>, index, _, _| {
-            reached[index].fetch_add(1, Ordering::SeqCst);
-            Ok(volts(pll))
-        });
+        let wrapped =
+            faults.wrap_capture(None, |pll: &mut Supervised<ClosedFormPll>, index, _, _| {
+                reached[index].fetch_add(1, Ordering::SeqCst);
+                Ok(volts(pll))
+            });
         let faulted = run_plan(
             &plan,
             &GRID,

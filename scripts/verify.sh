@@ -187,6 +187,25 @@ if grep -rnE --include='*.rs' --exclude-dir=target "$ladder|_scale_bits|rail_mar
   exit 1
 fi
 
+# Every write to a job directory goes through durable.rs, which is also
+# where the one injected crash fault (die at durable step k after b
+# bytes) lives. This gate keeps it the one path: an fsync, rename,
+# truncate or append-mode open elsewhere under crates/sim/src means a
+# hand-rolled durable write, and a revived torn-write helper, write-fault
+# hook or crash kind means a second crash model.
+echo "==> one-durable-path gate (sync_all / fs::rename / set_len / .append(true) only in durable.rs; no second crash model)"
+if grep -rnE 'sync_all|fs::rename|set_len|\.append\(true\)' crates/sim/src | grep -v '^crates/sim/src/durable\.rs:'; then
+  echo "one-durable-path gate: write through crates/sim/src/durable.rs instead"
+  exit 1
+fi
+if grep -rnE --include='*.rs' --exclude-dir=target \
+  'journal_append_torn|set_write_fault|InjectedWriteFault|WriteFaultHook|KillTearingJournal|TornResultWrite|ResultDiskFull' \
+  crates src tests examples; then
+  echo "one-durable-path gate: a second crash model is back — inject crashes"
+  echo "as durable::CrashFault { step, bytes }"
+  exit 1
+fi
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 
@@ -255,9 +274,9 @@ head -1 "$abl14_out" | grep -q '"type":"run"' \
   || { echo "abl14 smoke: missing JSONL run header"; exit 1; }
 
 echo "==> abl15 crash-only-service smoke (offline, JSONL sink)"
-# The campaign service under deterministic fire: kills mid-sweep, torn
-# journal/result writes, disk-full, client disconnects and a SIGKILL
-# restart. The bin asserts every recovered campaign file is
+# The campaign service under deterministic fire: crashes at chosen
+# durable steps (kills, a torn results line, a torn journal append),
+# client disconnects and a SIGKILL restart. The bin asserts every recovered campaign file is
 # byte-identical to the uninterrupted serial reference and that the
 # resumed attempt restores lock from the checkpoint sidecar.
 abl15_out="target/abl15-smoke.jsonl"
