@@ -18,6 +18,7 @@ use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist_bench::progress::{ProgressLine, ProgressSource};
 use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::config::PllConfig;
+use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::lock::{wait_for_lock, LockDetector};
 use pllbist_sim::scenario::Scenario;
 use pllbist_sim::stimulus::FmStimulus;
@@ -28,10 +29,10 @@ use pllbist_telemetry::{fields, Collector, ProgressBoard, RunReport};
 use std::sync::Arc;
 
 fn main() {
-    // The injected faults below panic by design (that is what the
-    // supervisor contains); keep the expected backtrace spam out of the
-    // campaign log.
-    std::panic::set_hook(Box::new(|_| {}));
+    // The injected faults below panic by design, with typed payloads
+    // the supervisor contains; keep their reports out of the campaign
+    // log and let any other panic report as usual.
+    quiet_contained_panics();
 
     let mut report = RunReport::from_args("abl11_fault_tolerant_campaign");
     let policy = SupervisorPolicy::default();
@@ -228,7 +229,9 @@ fn main() {
         None,
         |pll, fm| {
             if fm >= 20.0 {
-                panic!("seeded fault in point task at {fm} Hz");
+                std::panic::panic_any(SweepPointError::WorkerPanic {
+                    message: format!("seeded fault in point task at {fm} Hz"),
+                });
             }
             let t = pll.time();
             pll.advance_to(t + 0.05);

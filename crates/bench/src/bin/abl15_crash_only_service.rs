@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use pllbist_sim::config::PllConfig;
+use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::service::{
     submission_body, CampaignService, CrashFault, FaultPlan, ServiceConfig,
 };
@@ -103,9 +104,10 @@ fn disconnect_mid_stream(addr: std::net::SocketAddr, job: &str) {
 }
 
 fn main() {
-    // Injected kills unwind as panics by design; keep their backtraces
-    // out of the campaign log.
-    std::panic::set_hook(Box::new(|_| {}));
+    // Injected kills and quarantines unwind as typed panics by design;
+    // keep their reports out of the campaign log and let any other panic
+    // report as usual.
+    quiet_contained_panics();
 
     let mut report = RunReport::from_args("abl15_crash_only_service");
     let points = env_usize("PLLBIST_ABL15_POINTS", 8).max(4);

@@ -751,6 +751,7 @@ impl TransferFunctionMonitor {
 mod tests {
     use super::*;
     use pllbist_sim::behavioral::CpPll;
+    use pllbist_sim::error::quiet_contained_panics;
     use pllbist_sim::plan::Scheduler;
     use pllbist_sim::supervisor::{IncidentAction, SupervisorPolicy};
 
@@ -1066,11 +1067,9 @@ mod tests {
         // device (nominal + every tone) instead of crashing.
         let mut cfg = PllConfig::paper_table3();
         cfg.vco_curvature = (f64::NAN, 0.0);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        quiet_contained_panics();
         let result = TransferFunctionMonitor::new(tiny_settings())
             .measure(&serial_plan(&cfg).supervised(SupervisorPolicy::default()));
-        std::panic::set_hook(prev);
         assert!(result.nominal.is_err(), "NaN device has no nominal");
         assert_eq!(result.ok_count(), 0);
         assert_eq!(result.quarantined_count(), 3);
@@ -1105,13 +1104,11 @@ mod tests {
     fn supervised_measure_is_deterministic() {
         let mut cfg = PllConfig::paper_table3();
         cfg.vco_curvature = (f64::NAN, 0.0);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        quiet_contained_panics();
         let monitor = TransferFunctionMonitor::new(tiny_settings());
         let plan = serial_plan(&cfg).supervised(SupervisorPolicy::default());
         let a = monitor.measure(&plan);
         let b = monitor.measure(&plan);
-        std::panic::set_hook(prev);
         assert_eq!(a.incidents.len(), b.incidents.len());
         for (x, y) in a.incidents.iter().zip(&b.incidents) {
             assert_eq!(x.attempt, y.attempt);

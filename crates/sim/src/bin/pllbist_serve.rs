@@ -8,12 +8,19 @@
 //! closes or a `drain` line arrives (graceful path). The crash-only
 //! stop is `kill -9`: on the next start the service rescans `--root`
 //! and resumes every interrupted campaign byte-identically.
+//!
+//! Stderr carries only panics the service does not contain, each with
+//! its report (and its backtrace under `RUST_BACKTRACE`). Injected
+//! crashes and quarantined points are recorded in the job's journal and
+//! results file instead.
 
 use std::io::BufRead;
 
+use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::service::{CampaignService, ServiceConfig};
 
 fn main() {
+    quiet_contained_panics();
     let mut config = ServiceConfig::rooted("campaign-service");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

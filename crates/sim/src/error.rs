@@ -97,9 +97,42 @@ pub const ERROR_KINDS: &[&str] = &[
 /// job boundary, where the service catches it, marks the job
 /// interrupted and resumes from the on-disk prefix. A killed write
 /// leaves at most a torn tail, which the resume cuts, so the resumed
-/// file stays byte-identical to an uninterrupted run's.
+/// file stays byte-identical to an uninterrupted run's. Being contained
+/// by design, it never reaches the panic reporter once
+/// [`quiet_contained_panics`] is installed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InjectedKill;
+
+/// Installs, once per process, a panic hook that keeps the panics the
+/// program contains by design out of the panic reporter: a payload that
+/// is an [`InjectedKill`] or a [`SweepPointError`] prints nothing, and
+/// every other payload goes to the hook installed before, unchanged
+/// (the default one prints the message and, under `RUST_BACKTRACE`, the
+/// backtrace). Every contained panic is recorded where it is caught —
+/// as a point's incident or a job's `interrupted` event — so a report on
+/// stderr would only repeat it, and with `RUST_BACKTRACE=1` symbolizing
+/// each backtrace costs far more than the fault it reports.
+///
+/// A panic hook is process state, so this belongs to a binary's `main`
+/// (or a test that seeds typed faults), never to a library entry point.
+/// Later calls do nothing.
+pub fn quiet_contained_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            report_uncontained(info.payload(), || report(info));
+        }));
+    });
+}
+
+/// Calls `report` unless `payload` is one the program contains by
+/// design.
+fn report_uncontained(payload: &(dyn std::any::Any + Send), report: impl FnOnce()) {
+    if !(payload.is::<InjectedKill>() || payload.is::<SweepPointError>()) {
+        report();
+    }
+}
 
 /// Re-raises `payload` when it is an [`InjectedKill`]; otherwise hands
 /// it back for normal per-point containment. Call this first inside
@@ -400,6 +433,25 @@ mod tests {
         assert_eq!(err.kind(), "fault_wiring");
         assert!(!err.is_retryable());
         assert!(std::error::Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn only_uncontained_payloads_reach_the_previous_hook() {
+        let reported = |payload: Box<dyn std::any::Any + Send>| {
+            let mut called = false;
+            report_uncontained(&*payload, || called = true);
+            called
+        };
+        assert!(!reported(Box::new(InjectedKill)));
+        assert!(!reported(Box::new(SweepPointError::WorkerPanic {
+            message: "injected worker panic at point 3".into()
+        })));
+        assert!(!reported(Box::new(SweepPointError::DegenerateFit {
+            f_mod_hz: 8.0
+        })));
+        assert!(reported(Box::new("a real bug")));
+        assert!(reported(Box::new(String::from("a real bug at 7"))));
+        assert!(reported(Box::new(42_u32)));
     }
 
     #[test]

@@ -364,10 +364,14 @@ impl FaultPlan {
 
     /// Wraps one attempt's indexed capture with the point-level faults,
     /// so no injection lives in the capture itself: a `flaky_quarantine`
-    /// index panics, and a `flaky_retry` index fails its first capture of
-    /// the attempt. Faults key on the runner's grid index, never on the
+    /// index panics with a typed [`SweepPointError::WorkerPanic`]
+    /// payload, and a `flaky_retry` index fails its first capture of the
+    /// attempt. Faults key on the runner's grid index, never on the
     /// frequency. Once the attempt's armed `crash` has fired, every
-    /// capture unwinds with [`InjectedKill`]: the process is dead.
+    /// capture unwinds with [`InjectedKill`]: the process is dead. Both
+    /// payloads are contained by design, so
+    /// [`quiet_contained_panics`](crate::error::quiet_contained_panics)
+    /// keeps them off stderr.
     pub fn wrap_capture<'a, E, P, F>(
         &'a self,
         crash: Option<&'a Armed>,
@@ -383,7 +387,9 @@ impl FaultPlan {
                 std::panic::panic_any(InjectedKill);
             }
             if self.flaky_quarantine.contains(&index) {
-                panic!("injected worker panic at point {index}");
+                std::panic::panic_any(SweepPointError::WorkerPanic {
+                    message: format!("injected worker panic at point {index}"),
+                });
             }
             if self.flaky_retry.contains(&index) && lock(&retried).insert(index) {
                 return Err(SweepPointError::DegenerateFit { f_mod_hz: f_mod });
@@ -1181,10 +1187,15 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
     let spec = std::fs::read_to_string(dir.join("submit.jsonl"))
         .map_err(|e| format!("submission unreadable: {e}"))
         .and_then(|text| JobSpec::parse(&text));
+    let mut started: u32 = 0;
     match spec {
         Err(reason) => finish_job(state, job_id, "failed", Some((0, &reason))),
         Ok(spec) => loop {
-            let (last, attempts) = journal_summary(&journal);
+            // The journal counts the attempts of every process; `started`
+            // counts this process's, so a journal that cannot be appended
+            // still runs out of budget.
+            let (last, journaled) = journal_summary(&journal);
+            let attempts = journaled.max(started);
             if last == "done" {
                 return finish_job(state, job_id, "done", None);
             }
@@ -1209,6 +1220,7 @@ fn run_job(state: &Arc<ServiceState>, job_id: &str) {
                 dispatch_attempt(state, &dir, &spec, attempts, crash.as_ref())
             }));
             drop(crash);
+            started = attempts + 1;
             *lock(&state.current_observer) = None;
             match outcome {
                 Ok(Ok(summary)) => {

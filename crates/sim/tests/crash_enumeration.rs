@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::durable::{self, CrashFault};
-use pllbist_sim::error::InjectedKill;
+use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::plan::Scheduler;
 use pllbist_sim::service::{submission_body, CampaignService, FaultPlan, ServiceConfig};
 use pllbist_sim::{http_get, http_post, CampaignPlan, ClosedFormPll, SupervisorPolicy};
@@ -130,12 +130,7 @@ fn done_field(journal: &str, key: &str) -> usize {
 #[test]
 fn every_crash_point_of_an_attempt_recovers_byte_identical() {
     // Injected kills unwind by design; keep only other panics' reports.
-    let report = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<InjectedKill>() {
-            report(info);
-        }
-    }));
+    quiet_contained_panics();
 
     let reference = run(None, true);
     let steps = reference.steps.expect("counted") - STEPS_OUTSIDE_ATTEMPT;

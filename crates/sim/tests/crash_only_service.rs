@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use pllbist_sim::campaign::bits_hex;
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::error::CampaignError;
+use pllbist_sim::error::{quiet_contained_panics, CampaignError};
 use pllbist_sim::plan::Scheduler;
 use pllbist_sim::service::{
     submission_body, CampaignService, CrashFault, FaultPlan, ServiceConfig, VoltsCodec,
@@ -124,6 +124,7 @@ fn faulted_campaign_recovers_byte_identical_to_unfaulted_reference() {
     // are its `running` append, the results header and the sidecar store
     // when the file and sidecar are new, one step per results line, and
     // the final fsync.
+    quiet_contained_panics();
     let grid = [2.0, 4.5, 7.0, 11.0, 16.0, 23.0];
     let mut faults = FaultPlan::from_seed(11, grid.len(), 0);
     let crash = |step, bytes| CrashFault { step, bytes };
@@ -299,6 +300,40 @@ fn draining_service_refuses_new_work_with_503() {
     let journal = std::fs::read_to_string(root.join("service.jsonl")).expect("service journal");
     assert!(journal.contains("\"drain\""), "drain journaled:\n{journal}");
     assert!(journal.contains("\"stop\""), "stop journaled:\n{journal}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn unappendable_journal_ends_the_job_failed_within_the_attempt_budget() {
+    // A job directory whose journal and results file are directories:
+    // every journal append and every results open fails, so the journal
+    // never counts an attempt. The attempts the service starts must
+    // still run out, ending the job `failed` instead of retrying forever.
+    let root = tmp_root("unappendable");
+    let plan = closed_form_plan(1);
+    let grid = [3.0, 9.0];
+    let dir = root.join(format!("job-{}", plan.digest(&grid, "svc-unappendable")));
+    for name in ["job.jsonl", "campaign.jsonl"] {
+        std::fs::create_dir_all(dir.join(name)).expect("pre-create");
+    }
+    let service = CampaignService::start(ServiceConfig::rooted(&root)).expect("start");
+    let addr = service.addr();
+    let body = submission_body(&plan, &grid, "svc-unappendable", &FaultPlan::none());
+    http_post(addr, "/jobs", &body).expect("submit");
+    let started = Instant::now();
+    loop {
+        let progress = http_get(addr, "/progress").expect("progress");
+        if progress.contains("\"failed\":1") {
+            break;
+        }
+        if started.elapsed() > Duration::from_secs(60) {
+            // A runner that never ends the job would hang `Drop`.
+            std::mem::forget(service);
+            panic!("job not failed within 60 s: {progress}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
 

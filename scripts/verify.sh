@@ -206,6 +206,20 @@ if grep -rnE --include='*.rs' --exclude-dir=target \
   exit 1
 fi
 
+# Panics the program contains by design (injected kills, quarantined
+# points, guard trips) carry InjectedKill or SweepPointError payloads,
+# and pllbist_sim::error::quiet_contained_panics keeps exactly those off
+# stderr. This gate keeps an empty panic hook out of the binaries and
+# out of the tests that seed faults on purpose: an empty hook hides a
+# real bug's report along with the seeded ones.
+echo "==> quiet-panic gate (no empty panic hook in src/bin, tests/supervised_sweep.rs or crash_enumeration.rs)"
+if grep -rnE --include='*.rs' 'set_hook\(Box::new\(\|_[a-z_]*\|[[:space:]]*\{[[:space:]]*\}\)\)' \
+  crates/*/src/bin tests/supervised_sweep.rs crates/sim/tests/crash_enumeration.rs; then
+  echo "quiet-panic gate: an empty panic hook silences every panic — seed typed"
+  echo "payloads and call pllbist_sim::error::quiet_contained_panics instead"
+  exit 1
+fi
+
 echo "==> examples/quickstart (offline)"
 cargo run --release --offline --example quickstart
 

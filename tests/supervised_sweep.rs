@@ -8,6 +8,7 @@
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist_sim::bench_measure::{run_sweep, BenchSettings};
 use pllbist_sim::config::PllConfig;
+use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::{
     run_plan, CampaignPlan, ClosedFormPll, NullCodec, PllEngine, Scheduler, SupervisorPolicy,
     SweepPointError,
@@ -15,15 +16,12 @@ use pllbist_sim::{
 use pllbist_telemetry::TelemetryConfig;
 use pllbist_testkit::{prop_assert, prop_assert_eq, prop_check};
 
-/// Runs `f` with panic messages silenced (the supervisor contains the
-/// panics these tests seed on purpose; the default hook would spam the
-/// test log).
-fn quietly<R>(f: impl FnOnce() -> R) -> R {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
+/// Seeds a contained worker panic: a typed payload, so the supervisor
+/// records it as a `WorkerPanic` incident and
+/// [`quiet_contained_panics`] keeps it out of the test log, while any
+/// other panic (a failed assertion included) still reports.
+fn seeded_panic(message: String) -> ! {
+    std::panic::panic_any(SweepPointError::WorkerPanic { message })
 }
 
 fn sched(threads: usize) -> Scheduler {
@@ -39,42 +37,41 @@ fn injected_panic_is_contained_at_every_thread_count() {
     let cfg = PllConfig::paper_table3();
     let tones = [1.0, 4.0, 8.0, 16.0, 32.0];
     let mut runs = Vec::new();
-    quietly(|| {
-        for threads in [1usize, 4] {
-            let plan = CampaignPlan::new(cfg.clone())
-                .engine::<ClosedFormPll>()
-                .lock_settle(0.1)
-                .supervised(SupervisorPolicy::default())
-                .scheduler(sched(threads));
-            let swept = run_plan(&plan, &tones, NullCodec::<f64>::new(), "panic-test", {
-                |pll, _index, fm, _tel| {
-                    if fm == 8.0 {
-                        panic!("seeded panic at {fm} Hz");
-                    }
-                    let t = pll.time();
-                    pll.advance_to(t + 0.05);
-                    Ok(pll.control_voltage())
+    quiet_contained_panics();
+    for threads in [1usize, 4] {
+        let plan = CampaignPlan::new(cfg.clone())
+            .engine::<ClosedFormPll>()
+            .lock_settle(0.1)
+            .supervised(SupervisorPolicy::default())
+            .scheduler(sched(threads));
+        let swept = run_plan(&plan, &tones, NullCodec::<f64>::new(), "panic-test", {
+            |pll, _index, fm, _tel| {
+                if fm == 8.0 {
+                    seeded_panic(format!("seeded panic at {fm} Hz"));
                 }
-            })
-            .expect("no campaign log in play");
-            assert_eq!(swept.points.len(), tones.len(), "threads {threads}");
-            for (point, &fm) in swept.points.iter().zip(&tones) {
-                match point {
-                    Ok(v) => {
-                        assert!(fm != 8.0 && v.is_finite(), "threads {threads}, tone {fm}")
-                    }
-                    Err(SweepPointError::WorkerPanic { message }) => {
-                        assert_eq!(fm, 8.0, "threads {threads}");
-                        assert!(message.contains("seeded panic"), "{message}");
-                    }
-                    Err(other) => panic!("threads {threads}: unexpected error {other}"),
-                }
+                let t = pll.time();
+                pll.advance_to(t + 0.05);
+                Ok(pll.control_voltage())
             }
-            // Panics are never retried: exactly one incident.
-            assert_eq!(swept.incidents.len(), 1, "threads {threads}");
-            runs.push(swept);
+        })
+        .expect("no campaign log in play");
+        assert_eq!(swept.points.len(), tones.len(), "threads {threads}");
+        for (point, &fm) in swept.points.iter().zip(&tones) {
+            match point {
+                Ok(v) => {
+                    assert!(fm != 8.0 && v.is_finite(), "threads {threads}, tone {fm}")
+                }
+                Err(SweepPointError::WorkerPanic { message }) => {
+                    assert_eq!(fm, 8.0, "threads {threads}");
+                    assert!(message.contains("seeded panic"), "{message}");
+                }
+                Err(other) => panic!("threads {threads}: unexpected error {other}"),
+            }
         }
-    });
+        // Panics are never retried: exactly one incident.
+        assert_eq!(swept.incidents.len(), 1, "threads {threads}");
+        runs.push(swept);
+    }
     // Healthy points are bitwise identical across thread counts.
     for (a, b) in runs[0].points.iter().zip(&runs[1].points) {
         if let (Ok(x), Ok(y)) = (a, b) {
@@ -165,7 +162,8 @@ fn nan_device_is_fully_quarantined_without_aborting() {
     let plan = CampaignPlan::new(cfg)
         .scheduler(Scheduler::WorkStealing { threads: 2 })
         .supervised(SupervisorPolicy::default());
-    let run = quietly(|| run_sweep(&plan, &tones, &settings).expect("quarantine, not abort"));
+    quiet_contained_panics();
+    let run = run_sweep(&plan, &tones, &settings).expect("quarantine, not abort");
     assert_eq!(run.points.len(), tones.len());
     assert_eq!(run.quarantined_count(), tones.len());
     assert!(run
@@ -189,87 +187,86 @@ fn nan_device_is_fully_quarantined_without_aborting() {
 fn supervised_sweep_always_completes_with_random_fault_placement() {
     let cfg = PllConfig::paper_table3();
     let tones = [1.0, 3.0, 9.0, 27.0];
-    quietly(|| {
-        prop_check!(cases: 16, |g| {
-            // One case flavor injects NaN into the device itself (the
-            // behavioral engine's guarded state diverges); the others
-            // seed a panic or a typed failure into one capture.
-            if g.u32_range(0, 3) == 0 {
-                let mut nan_cfg = cfg.clone();
-                nan_cfg.vco_curvature = (f64::NAN, 0.0);
-                let threads = g.pick(&[1usize, 2, 4]);
-                let policy = SupervisorPolicy::default();
-                let plan = CampaignPlan::new(nan_cfg)
-                    .lock_settle(0.1)
-                    .supervised(policy.clone())
-                    .scheduler(sched(threads));
-                let swept =
-                    run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-nan", |pll, _, _fm, _| {
-                        let t = pll.time();
-                        pll.advance_to(t + 0.02);
-                        Ok(pll.control_voltage())
-                    })
-                    .expect("no campaign log in play");
-                prop_assert_eq!(swept.points.len(), tones.len());
-                prop_assert_eq!(
-                    swept.points.iter().filter(|p| p.is_err()).count(),
-                    tones.len()
-                );
-                for point in &swept.points {
-                    let kind = point.as_ref().err().map(|e| e.kind());
-                    prop_assert_eq!(kind, Some("numerical_divergence"));
-                }
-                prop_assert_eq!(
-                    swept.incidents.len(),
-                    tones.len() * (SupervisorPolicy::MAX_RETRIES as usize + 1)
-                );
-                return Ok(());
-            }
-            let sick = g.usize_range(0, tones.len() - 1);
+    quiet_contained_panics();
+    prop_check!(cases: 16, |g| {
+        // One case flavor injects NaN into the device itself (the
+        // behavioral engine's guarded state diverges); the others
+        // seed a panic or a typed failure into one capture.
+        if g.u32_range(0, 3) == 0 {
+            let mut nan_cfg = cfg.clone();
+            nan_cfg.vco_curvature = (f64::NAN, 0.0);
             let threads = g.pick(&[1usize, 2, 4]);
-            let as_panic = g.bool();
             let policy = SupervisorPolicy::default();
-            let plan = CampaignPlan::new(cfg.clone())
-                .engine::<ClosedFormPll>()
+            let plan = CampaignPlan::new(nan_cfg)
                 .lock_settle(0.1)
                 .supervised(policy.clone())
                 .scheduler(sched(threads));
             let swept =
-                run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-fault", |pll, _, fm, _| {
-                    if fm == tones[sick] {
-                        if as_panic {
-                            panic!("seeded panic");
-                        }
-                        return Err(SweepPointError::DegenerateFit { f_mod_hz: fm });
-                    }
+                run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-nan", |pll, _, _fm, _| {
                     let t = pll.time();
                     pll.advance_to(t + 0.02);
                     Ok(pll.control_voltage())
                 })
                 .expect("no campaign log in play");
             prop_assert_eq!(swept.points.len(), tones.len());
-            prop_assert_eq!(swept.points.iter().filter(|p| p.is_err()).count(), 1);
-            for (point, &fm) in swept.points.iter().zip(&tones) {
-                if fm == tones[sick] {
-                    prop_assert!(point.is_err());
-                    let kind = point.as_ref().err().map(|e| e.kind());
-                    if as_panic {
-                        prop_assert_eq!(kind, Some("worker_panic"));
-                    } else {
-                        prop_assert_eq!(kind, Some("degenerate_fit"));
-                    }
-                } else {
-                    prop_assert!(point.is_ok());
-                }
+            prop_assert_eq!(
+                swept.points.iter().filter(|p| p.is_err()).count(),
+                tones.len()
+            );
+            for point in &swept.points {
+                let kind = point.as_ref().err().map(|e| e.kind());
+                prop_assert_eq!(kind, Some("numerical_divergence"));
             }
-            // Retryable faults burn the retry budget; panics never retry.
-            let want_incidents = if as_panic {
-                1
+            prop_assert_eq!(
+                swept.incidents.len(),
+                tones.len() * (SupervisorPolicy::MAX_RETRIES as usize + 1)
+            );
+            return Ok(());
+        }
+        let sick = g.usize_range(0, tones.len() - 1);
+        let threads = g.pick(&[1usize, 2, 4]);
+        let as_panic = g.bool();
+        let policy = SupervisorPolicy::default();
+        let plan = CampaignPlan::new(cfg.clone())
+            .engine::<ClosedFormPll>()
+            .lock_settle(0.1)
+            .supervised(policy.clone())
+            .scheduler(sched(threads));
+        let swept =
+            run_plan(&plan, &tones, NullCodec::<f64>::new(), "prop-fault", |pll, _, fm, _| {
+                if fm == tones[sick] {
+                    if as_panic {
+                        seeded_panic("seeded panic".to_string());
+                    }
+                    return Err(SweepPointError::DegenerateFit { f_mod_hz: fm });
+                }
+                let t = pll.time();
+                pll.advance_to(t + 0.02);
+                Ok(pll.control_voltage())
+            })
+            .expect("no campaign log in play");
+        prop_assert_eq!(swept.points.len(), tones.len());
+        prop_assert_eq!(swept.points.iter().filter(|p| p.is_err()).count(), 1);
+        for (point, &fm) in swept.points.iter().zip(&tones) {
+            if fm == tones[sick] {
+                prop_assert!(point.is_err());
+                let kind = point.as_ref().err().map(|e| e.kind());
+                if as_panic {
+                    prop_assert_eq!(kind, Some("worker_panic"));
+                } else {
+                    prop_assert_eq!(kind, Some("degenerate_fit"));
+                }
             } else {
-                SupervisorPolicy::MAX_RETRIES as usize + 1
-            };
-            prop_assert_eq!(swept.incidents.len(), want_incidents);
-            Ok(())
-        });
+                prop_assert!(point.is_ok());
+            }
+        }
+        // Retryable faults burn the retry budget; panics never retry.
+        let want_incidents = if as_panic {
+            1
+        } else {
+            SupervisorPolicy::MAX_RETRIES as usize + 1
+        };
+        prop_assert_eq!(swept.incidents.len(), want_incidents);
+        Ok(())
     });
 }
