@@ -205,12 +205,15 @@ impl Integrator for EventStep {
     type State = f64;
     const BACKEND: &'static str = "event_driven";
     const TOKEN_PREFIX: &'static str = "ev:";
-    /// Event-subdivision guard. Physics is exact at any segment length,
-    /// so at `2/f_ref` (never binding between ~1/f_ref-spaced edges) this
-    /// costs nothing; the supervisor's retry ladder shrinks it via
-    /// [`crate::engine::PllEngine::set_step_scale`] so re-attempts still
-    /// tighten a real knob on this engine.
-    const SEGMENT_CAP_PERIODS: f64 = 2.0;
+
+    /// Event-subdivision guard, under every drive. Physics is exact at any
+    /// segment length, so at `2/f_ref` (never binding between
+    /// ~1/f_ref-spaced edges) this costs nothing; the supervisor's retry
+    /// ladder shrinks it via [`crate::engine::PllEngine::set_step_scale`]
+    /// so re-attempts still tighten a real knob on this engine.
+    fn segment_cap_periods(&self, _drive: PfdOutput) -> f64 {
+        2.0
+    }
 
     fn locked(config: &PllConfig) -> (Self, f64) {
         Self::try_locked(config).unwrap_or_else(|e| panic!("{e}"))
@@ -362,11 +365,17 @@ mod tests {
 
     #[test]
     fn event_engine_does_far_less_work() {
-        // The reason this engine exists: no micro-steps. Committed
-        // segments stay within a small multiple of the physical event
-        // count, where the behavioural engine pays ~5 micro-steps per
-        // reference period on the paper's loop.
-        let cfg = PllConfig::paper_table3();
+        // The reason this engine exists: no micro-steps where the filter
+        // moves. Committed segments stay within a small multiple of the
+        // physical event count. A leaky filter droops between pump
+        // pulses, so the behavioural engine pays ~5 micro-steps per
+        // reference period on the paper's loop with 50 MΩ of leakage.
+        // (Without leakage the filter holds between pulses, and both
+        // engines take those intervals whole.)
+        let mut cfg = PllConfig::paper_table3();
+        if let FilterConfig::PassiveLag { ref mut r_leak, .. } = cfg.filter {
+            *r_leak = Some(50e6);
+        }
         let mut ev = EventDrivenCpPll::new_locked(&cfg);
         let mut beh = CpPll::new_locked(&cfg);
         ev.advance_to(0.5);
@@ -476,7 +485,7 @@ mod tests {
                 let (integ, lock) = EventStep::locked(cfg);
                 let off = PfdOutput::Off;
                 let hz_per_unit = integ.frequency(&(lock + 1.0), off) - integ.frequency(&lock, off);
-                let cap = EventStep::SEGMENT_CAP_PERIODS / cfg.f_ref_hz;
+                let cap = integ.segment_cap_periods(off) / cfg.f_ref_hz;
                 (integ, lock, hz_per_unit, cap)
             })
             .collect();
