@@ -40,6 +40,17 @@
 //! neither did anything else the script reads: its stimuli are sine
 //! and constant, so the tabulated staircase phase does not enter, and
 //! no pending edge sits inside the guard at its stimulus switch.
+//!
+//! The `CpPll` table was re-pinned once more when `MicroStep` stopped
+//! capping a segment under a drive that holds the filter still (the
+//! high-impedance interval between pump pulses of a lossless filter):
+//! such an interval is one segment instead of quarter-period
+//! micro-steps. The committed step counts fell (2001 → 800, 2001 → 797,
+//! 2170 → 960), and with them time, filter state, the PFD's armed time
+//! and the VCO phase moved by ulps, since each is now a sum over fewer
+//! segments. Every reference, feedback and rejection count is unchanged.
+//! The event-driven table is untouched: `EventStep` keeps its two-period
+//! cap under every drive.
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::stimulus::FmStimulus;
@@ -102,18 +113,18 @@ fn cp_pll_bits_are_pinned() {
     check::<CpPll>(&[
         (
             "paper_table3",
-            "cp:3fd999999999999a|4003fd5fe19a1c70|0;3fd9984546b4cadf;0000000000000000;0;d,3fd9984546b4cadf,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab57b762|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|2001,400,400,400,1",
-            "409f418dab57b762",
+            "cp:3fd999999999999a|4003fd5fe19a1ca9|0;3fd9984546b4cada;0000000000000000;0;d,3fd9984546b4cada,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab57b767|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|800,400,400,400,1",
+            "409f418dab57b767",
         ),
         (
             "integer_n_charge_pump",
-            "cp:3fa47ae147ae147b|4002e8f12466ba1d|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf3,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|2001,398,400,398,1",
+            "cp:3fa47ae147ae147b|4002e8f12466be80|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf4,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|797,398,400,398,1",
             "40a8effc5e292687",
         ),
         (
             "paper_table3_dead_zone",
-            "cp:3fd999999999999a|4003fe1d9aab0f84|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b46728173d,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca3fb564|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|2170,399,400,399,1",
-            "409f3f63ca3fb564",
+            "cp:3fd999999999999a|4003fe1d9aab0f5b|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b4672816f1,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca3fb5c1|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
+            "409f3f63ca3fb5c1",
         ),
     ]);
 }
