@@ -5,11 +5,17 @@
 //! engine (`CpPll`) and through the per-event closed-form engine
 //! (`EventDrivenCpPll`) on one thread, so the ratio isolates the
 //! advancement strategy from core-count scaling. The behavioural engine
-//! steps the filter state vector over quarter-period micro-steps; the
-//! event engine commits one exact closed-form segment per PFD switching
-//! event. Both find feedback edges with the same safeguarded-Newton
-//! solver, so the ratio measures the segment integration alone: about
-//! 2× on the paper's loop (5 kHz VCO, first-order lag filter).
+//! steps the filter state vector exactly, micro-stepping only where the
+//! filter moves and taking each held interval between pump pulses
+//! whole; the event engine commits one exact closed-form segment per PFD
+//! switching event. On the paper's lossless loop (5 kHz VCO, first-order
+//! lag filter) the pump pulses are shorter than the micro-step, so both
+//! commit the same segments, and both find feedback edges with the same
+//! safeguarded-Newton solver: the ratio measures the cost of one segment
+//! alone, a boxed filter step, the VCO curve and a trapezoid against one
+//! closed-form exponential. That is about 1.4× on a shared 2-vCPU host,
+//! under the 1.5× floor (it was about 2× while `CpPll` cut every held
+//! interval into quarter-period micro-steps).
 //!
 //! The bin asserts two things: the two backends land on the same
 //! transfer-function points (gain within 5 %, phase within 0.08 rad —
@@ -145,8 +151,8 @@ fn main() {
     );
     if behavioral_steps > 0 && event_steps > 0 {
         println!(
-            "work units (rep 0): {behavioral_steps} micro-steps vs {event_steps} \
-             committed segments ({:.1}× fewer)",
+            "work units (rep 0): {behavioral_steps} behavioural vs {event_steps} \
+             event-driven committed segments ({:.1}× fewer)",
             behavioral_steps as f64 / event_steps as f64
         );
     }
@@ -174,7 +180,7 @@ fn main() {
 }
 
 /// Sums the `sim.steps` counters out of drained sweep telemetry — the
-/// engine's own work unit (micro-steps vs committed event segments).
+/// engine's own work unit, committed segments.
 fn sum_steps(records: &[pllbist_telemetry::Record]) -> u64 {
     use pllbist_telemetry::Record;
     records

@@ -180,8 +180,9 @@ pub trait PllEngine {
     /// configuration default, so the supervisor's retry ladder always
     /// tightens *something real*:
     ///
-    /// * micro-stepped engines shrink their free-running integration
-    ///   step;
+    /// * micro-stepped engines shrink their integration step where the
+    ///   filter moves (an interval the filter holds still stays one
+    ///   segment);
     /// * event-exact engines shrink their **event-subdivision guard**
     ///   (the longest segment they will commit between events) —
     ///   physics is unchanged, but re-attempts commit more, shorter

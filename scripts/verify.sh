@@ -279,8 +279,9 @@ echo "==> abl14 event-driven-speedup smoke (offline, JSONL sink)"
 # One rep through both engine backends: the bin itself asserts the two
 # land on the same Bode points and that the event-driven engine clears
 # its ≥1.5× median-speedup floor over the micro-stepped engine (both
-# share one Newton edge solver, so the floor measures segment
-# integration alone; ~2× measured).
+# share one Newton edge solver and, on this lossless loop, commit the
+# same segments, so the floor measures the cost of one segment alone;
+# ~1.4× measured since `CpPll` takes held intervals whole).
 abl14_out="target/abl14-smoke.jsonl"
 PLLBIST_ABL14_REPS=1 cargo run --release --offline -p pllbist-bench \
   --bin abl14_event_driven_speedup -- --jsonl "$abl14_out"
