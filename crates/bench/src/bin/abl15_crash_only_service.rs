@@ -29,7 +29,7 @@ use pllbist_sim::service::{
     submission_body, CampaignService, CrashFault, FaultPlan, ServiceConfig,
 };
 use pllbist_sim::{
-    http_get_with_retries, http_post, CampaignPlan, EventDrivenCpPll, Scheduler, SupervisorPolicy,
+    http_get_with_retries, http_post, CampaignPlan, CpPll, Scheduler, SupervisorPolicy,
 };
 use pllbist_telemetry::json::json_str_field;
 use pllbist_telemetry::{fields, Record, RunReport, SCHEMA_VERSION};
@@ -54,14 +54,14 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
-fn plan(threads: usize) -> CampaignPlan<EventDrivenCpPll> {
+fn plan(threads: usize) -> CampaignPlan<CpPll> {
     let scheduler = if threads == 1 {
         Scheduler::Serial
     } else {
         Scheduler::WorkStealing { threads }
     };
     CampaignPlan::new(PllConfig::paper_table3())
-        .engine::<EventDrivenCpPll>()
+        .engine::<CpPll>()
         .lock_settle(0.05)
         .supervised(SupervisorPolicy::default())
         .scheduler(scheduler)

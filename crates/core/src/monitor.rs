@@ -26,7 +26,7 @@ use crate::sequencer::{TestSequencer, Transition};
 use pllbist_numeric::bode::{BodePlot, BodePoint};
 use pllbist_sim::campaign::NullCodec;
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::error::{CampaignError, SweepPointError};
+use pllbist_sim::error::SweepPointError;
 use pllbist_sim::plan::CampaignPlan;
 use pllbist_sim::scenario::{PlanRun, Scenario};
 use pllbist_sim::stimulus::FmStimulus;
@@ -483,24 +483,7 @@ impl TransferFunctionMonitor {
     /// telemetry/thread-count combination. Retries are a pure function of
     /// `(config, tone)` on the fixed supervision ladder, so failing
     /// campaigns replay incident for incident.
-    ///
-    /// # Panics
-    ///
-    /// Where [`try_measure`](Self::try_measure) errs (out-of-class plan).
     pub fn measure<E: PllEngine>(&self, plan: &CampaignPlan<E>) -> SupervisedMonitorResult {
-        self.try_measure(plan)
-            .unwrap_or_else(|e| panic!("monitor plan rejected: {e}"))
-    }
-
-    /// [`measure`](Self::measure) with the plan's rejection typed.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::OutOfClass`], before anything is settled.
-    pub fn try_measure<E: PllEngine>(
-        &self,
-        plan: &CampaignPlan<E>,
-    ) -> Result<SupervisedMonitorResult, CampaignError> {
         let s = &self.settings;
         let plan = plan
             .clone()
@@ -508,7 +491,7 @@ impl TransferFunctionMonitor {
         let run = PlanRun::<E, NullCodec<(MonitorPoint, Vec<Transition>)>>::in_memory(
             &plan,
             &s.mod_frequencies_hz,
-        )?;
+        );
         let fc = FrequencyCounter::new(s.test_clock_hz, s.gate_cycles);
 
         // Device qualification: the nominal reading, held for a clean
@@ -533,27 +516,29 @@ impl TransferFunctionMonitor {
         let nominal = match nominal.result {
             Ok(nominal) => nominal,
             Err(error) => {
-                return Ok(SupervisedMonitorResult {
+                return SupervisedMonitorResult {
                     nominal: Err(error.clone()),
                     points: vec![Err(error); s.mod_frequencies_hz.len()],
                     transcript: Vec::new(),
                     capture: s.capture,
                     incidents,
                     telemetry: run.telemetry().drain(),
-                });
+                };
             }
         };
 
-        let swept = run.run(|pll, tone_index, f_mod, tel| {
-            let (mut points, mut transcript) = self.sweep_chunk(pll, &[f_mod], &nominal, tel);
-            transcript
-                .iter_mut()
-                .for_each(|t| t.tone_index = tone_index);
-            let point = points.pop();
-            point
-                .map(|point| (point, transcript))
-                .ok_or(SweepPointError::DegenerateFit { f_mod_hz: f_mod })
-        })?;
+        let swept = run
+            .run(|pll, tone_index, f_mod, tel| {
+                let (mut points, mut transcript) = self.sweep_chunk(pll, &[f_mod], &nominal, tel);
+                transcript
+                    .iter_mut()
+                    .for_each(|t| t.tone_index = tone_index);
+                let point = points.pop();
+                point
+                    .map(|point| (point, transcript))
+                    .ok_or(SweepPointError::DegenerateFit { f_mod_hz: f_mod })
+            })
+            .unwrap_or_else(|e| panic!("an in-memory run closes no results file: {e}"));
         incidents.extend(swept.incidents);
         let mut transcript = Vec::new();
         let points = swept
@@ -573,14 +558,14 @@ impl TransferFunctionMonitor {
                 value: (transcript.len() * std::mem::size_of::<Transition>()) as f64,
             });
         }
-        Ok(SupervisedMonitorResult {
+        SupervisedMonitorResult {
             nominal: Ok(nominal),
             points,
             transcript,
             capture: s.capture,
             incidents,
             telemetry,
-        })
+        }
     }
 
     /// Walks one contiguous run of modulation frequencies on `pll`,
@@ -1134,23 +1119,5 @@ mod tests {
         assert_eq!(bits(&plain), bits(&resumed));
         assert!(!path.exists(), "the monitor must not open a results file");
         assert!(!path.with_extension("ckpt").exists(), "nor a sidecar");
-    }
-
-    #[test]
-    fn out_of_class_plan_is_a_typed_rejection() {
-        let mut cfg = PllConfig::paper_table3();
-        cfg.vco_range_hz = Some((4_000.0, 6_000.0));
-        let monitor = TransferFunctionMonitor::new(tiny_settings());
-        let plan = serial_plan(&cfg).engine::<pllbist_sim::EventDrivenCpPll>();
-        let err = monitor.try_measure(&plan).expect_err("out of class");
-        assert!(
-            matches!(
-                err,
-                CampaignError::OutOfClass(pllbist_sim::OutOfClass::VcoRange)
-            ),
-            "{err}"
-        );
-        // The same device is in class for the behavioural engine.
-        assert!(monitor.try_measure(&serial_plan(&cfg)).is_ok());
     }
 }

@@ -69,8 +69,7 @@ impl Default for BenchSettings {
 
 /// Measures one point of the closed-loop response with full analogue
 /// access on engine backend `E` (any [`AnalogAccess`] implementor — the
-/// behavioural [`crate::behavioral::CpPll`] or the event-driven
-/// [`crate::event_driven::EventDrivenCpPll`]).
+/// behavioural [`crate::behavioral::CpPll`], bare or supervised).
 ///
 /// The loop is settled at lock (the [`crate::scenario::settle_time`]
 /// heuristic), driven with pure sinusoidal FM at `f_mod_hz`, allowed
@@ -271,8 +270,8 @@ pub fn campaign_digest<E: PllEngine>(
 ///
 /// # Errors
 ///
-/// Those of [`run_plan`]: an out-of-class plan, or a results file that
-/// belongs to another campaign, is corrupted or fails on the filesystem.
+/// Those of [`run_plan`]: a results file that belongs to another
+/// campaign, is corrupted or fails on the filesystem.
 pub fn run_sweep<E: AnalogAccess>(
     plan: &CampaignPlan<E>,
     f_mod_hz: &[f64],
@@ -380,8 +379,9 @@ pub fn log_spaced(lo_hz: f64, hi_hz: f64, n: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::behavioral::CpPll;
-    use crate::event_driven::EventDrivenCpPll;
+    use crate::engine::ClosedFormPll;
     use crate::plan::Scheduler;
+    use crate::scenario::run_plan;
     use crate::supervisor::SupervisorPolicy;
     use pllbist_telemetry::{Record, TelemetryConfig};
 
@@ -590,14 +590,14 @@ mod tests {
 
     #[test]
     fn event_driven_backend_measures_the_same_response() {
+        // The closed-form kernel (the event engine's formula) against the
+        // micro-step formula, which a negligible VCO curvature selects.
         let cfg = PllConfig::paper_table3();
+        let mut curved = cfg.clone();
+        curved.vco_curvature = (1e-9, 0.0);
         let freqs = [2.0, 8.0, 20.0];
-        let beh = measure_sweep_points(&serial_plan(&cfg), &freqs, &quick());
-        let ev = measure_sweep_points(
-            &serial_plan(&cfg).engine::<EventDrivenCpPll>(),
-            &freqs,
-            &quick(),
-        );
+        let beh = measure_sweep_points(&serial_plan(&curved), &freqs, &quick());
+        let ev = measure_sweep_points(&serial_plan(&cfg), &freqs, &quick());
         for (a, b) in ev.iter().zip(&beh) {
             assert!(
                 (a.gain - b.gain).abs() / b.gain < 0.02,
@@ -622,22 +622,36 @@ mod tests {
         let freqs = [2.0, 8.0];
         let path = std::env::temp_dir().join("pllbist_bench_cross_engine.jsonl");
         let _ = std::fs::remove_file(&path);
-        let ev_plan = serial_plan(&cfg)
-            .engine::<EventDrivenCpPll>()
+        let closed_plan = serial_plan(&cfg)
+            .engine::<ClosedFormPll>()
             .supervised(SupervisorPolicy::default())
             .resume_from(&path);
-        run_sweep(&ev_plan, &freqs, &quick()).expect("event-driven campaign");
+        let settings = quick();
+        run_plan(
+            &closed_plan,
+            &freqs,
+            BenchPointCodec,
+            &bench_salt(&settings),
+            |_, _, f_mod_hz, _| {
+                Ok(BenchPoint {
+                    f_mod_hz,
+                    gain: 1.0,
+                    phase: 0.0,
+                })
+            },
+        )
+        .expect("closed-form campaign");
         // The same grid on the behavioural backend must refuse the file:
         // the engines agree physically but not bit for bit, and a resume
         // that mixed their rounding would break byte-identity.
         let beh_plan = serial_plan(&cfg)
             .supervised(SupervisorPolicy::default())
             .resume_from(&path);
-        let err = run_sweep(&beh_plan, &freqs, &quick())
+        let err = run_sweep(&beh_plan, &freqs, &settings)
             .expect_err("cross-engine resume must be refused");
         assert!(matches!(err, CampaignError::HeaderMismatch { .. }), "{err}");
         std::fs::remove_file(&path).expect("cleanup");
-        std::fs::remove_file(path.with_extension("ckpt")).expect("cleanup sidecar");
+        let _ = std::fs::remove_file(path.with_extension("ckpt"));
     }
 
     #[test]

@@ -5,26 +5,21 @@
 //! realised*. [`PllEngine`] is that claim as a trait: everything the
 //! Table 2 sequencer, the counters and the sweep pipeline need from a
 //! loop — time, stimulus programming, the hold mechanism, edge events,
-//! counter-style phase readout — with four loop models:
+//! counter-style phase readout — with three loop models:
 //!
-//! * [`crate::loop_shell::LoopShell`] — the behavioural loop (PFD, hold
-//!   mux, edges, counters, checkpointing) written once and generic over
-//!   its [`crate::loop_shell::Integrator`], with one `PllEngine` impl for
-//!   both integrators:
-//!   * [`crate::behavioral::CpPll`] micro-steps the filter state vector —
-//!     the general path (ripple capacitors, VCO curvature/clamping, cold
-//!     start);
-//!   * [`crate::event_driven::EventDrivenCpPll`] advances one exact
-//!     closed-form segment per PFD switching event — an order of
-//!     magnitude faster on the first-order/linear configuration class the
-//!     campaigns sweep;
+//! * [`crate::behavioral::CpPll`] — the behavioural loop (PFD, hold mux,
+//!   edges, counters, checkpointing, in [`crate::loop_shell`]) over one
+//!   integrator: an exact closed-form segment per PFD switching event
+//!   wherever the filter has a scalar reduction and the VCO is linear,
+//!   micro-steps of the filter state vector elsewhere (ripple
+//!   capacitors, VCO curvature/clamping, cold start);
 //! * [`crate::cosim::MixedSignalPll`] — the gate-level co-simulation;
 //! * [`ClosedFormPll`] (here) — a thin adapter over
 //!   [`crate::linear::LoopAnalysis`] producing the closed-form
 //!   steady-state response, the analytic reference curve the others
 //!   are judged against.
 //!
-//! The four keep their own phase models but find their output edges
+//! The three keep their own phase models but find their output edges
 //! with one root finder, `loop_shell::solve_crossing` (feedback
 //! edges; the gate-level engine's VCO toggles), and place their
 //! reference edges by the stimulus's exact phase inverse.
@@ -180,39 +175,25 @@ pub trait PllEngine {
     /// configuration default, so the supervisor's retry ladder always
     /// tightens *something real*:
     ///
-    /// * micro-stepped engines shrink their integration step where the
-    ///   filter moves (an interval the filter holds still stays one
+    /// * the behavioural loop shrinks the longest segment it commits
+    ///   where the filter moves: the micro-step, and the
+    ///   **event-subdivision guard** of its closed-form segments, whose
+    ///   physics is unchanged but whose re-attempts commit more, shorter
+    ///   segments (an interval the filter holds still stays one
     ///   segment);
-    /// * event-exact engines shrink their **event-subdivision guard**
-    ///   (the longest segment they will commit between events) —
-    ///   physics is unchanged, but re-attempts commit more, shorter
-    ///   segments;
     /// * the closed-form adapter has no work granularity at all and
     ///   ignores it (the default).
     ///
     /// A `scale` of exactly `1.0` must be a no-op bit for bit.
     fn set_step_scale(&mut self, _scale: f64) {}
 
-    /// Stable, human-readable backend tag (`"cp_pll"`,
-    /// `"event_driven"`, …). Campaign digests fold it in so a resumable
+    /// Stable, human-readable backend tag (`"cp_pll"`, `"closed_form"`,
+    /// `"mixed_signal"`). Campaign digests fold it in so a resumable
     /// results file produced by one backend is never silently resumed by
     /// another (backends agree physically but not bit for bit).
     fn backend_name() -> &'static str
     where
         Self: Sized;
-
-    /// Why this backend cannot run `config`, read off the configuration
-    /// alone; the plan entry asks before any settle. In class by default.
-    ///
-    /// # Errors
-    ///
-    /// The [`OutOfClass`](crate::event_driven::OutOfClass) reason.
-    fn check_class(_config: &PllConfig) -> Result<(), crate::event_driven::OutOfClass>
-    where
-        Self: Sized,
-    {
-        Ok(())
-    }
 
     /// Serialises a checkpoint as a compact single-line token (floats
     /// as bit hex; no quotes, braces or backslashes) for the on-disk
@@ -241,11 +222,10 @@ pub trait PllEngine {
 
     /// Cumulative work counters since construction.
     ///
-    /// `steps` counts the engine's own unit of committed work — ODE
-    /// micro-steps on [`crate::behavioral::CpPll`], closed-form segments
-    /// (effectively *events*) on
-    /// [`crate::event_driven::EventDrivenCpPll`] — so a supervisor step
-    /// budget is an engine-appropriate work budget on every backend.
+    /// `steps` counts the engine's own unit of committed work — committed
+    /// segments (closed-form or micro-step) on
+    /// [`crate::behavioral::CpPll`] — so a supervisor step budget is an
+    /// engine-appropriate work budget on every backend.
     fn work_stats(&self) -> WorkStats;
 }
 

@@ -7,20 +7,16 @@
 //! * [`loop_shell`] — the behavioural loop, written once: the PFD is an
 //!   edge state machine, the hold mux, divider, reference-edge scheduler,
 //!   instrumentation and checkpointing live in one `LoopShell`, and
-//!   reference/feedback edges bound constant-drive segments. How a
-//!   segment is integrated is the shell's only type parameter, with two
-//!   integrators that share one feedback-edge solver (safeguarded Newton
-//!   on the phase advance, whose derivative is the VCO frequency):
-//!   * [`behavioral`] (`CpPll`) — the general path: the loop filter's
-//!     state vector is stepped **exactly** over micro-steps. Handles
-//!     every configuration (ripple capacitors, VCO curvature and
-//!     clamping, cold-start acquisition).
-//!   * [`event_driven`] (`EventDrivenCpPll`) — the per-event closed-form
-//!     path (Kuznetsov–Yuldashev style): between PFD switching events the
-//!     loop collapses to a scalar affine ODE with closed-form state,
-//!     output and phase integral, so one evaluation replaces a run of
-//!     micro-steps. About twice as fast on the first-order/linear
-//!     configuration class the BIST campaigns actually sweep.
+//!   reference/feedback edges bound constant-drive segments, whose
+//!   feedback edges one solver finds (safeguarded Newton on the phase
+//!   advance, whose derivative is the VCO frequency).
+//! * [`behavioral`] (`CpPll`) — the shell over its one integrator. Under
+//!   each drive with a scalar filter reduction and a linear VCO, a
+//!   segment is one closed-form affine step (Kuznetsov–Yuldashev style:
+//!   state, output and phase integral from one exponential); elsewhere
+//!   (ripple capacitors, VCO curvature and clamping, a frequency law
+//!   below zero) the filter's state vector is stepped **exactly** over
+//!   micro-steps. Handles every configuration, cold start included.
 //! * [`cosim`] — gate-level co-simulation: the digital side (DCO, dividers,
 //!   PFDs, counters, the paper's fig. 7 peak detector) runs in the
 //!   `pllbist-digital` event kernel with real propagation delays while the
@@ -66,7 +62,6 @@ pub mod cosim;
 pub mod durable;
 pub mod engine;
 pub mod error;
-pub mod event_driven;
 pub mod linear;
 pub mod lock;
 pub mod loop_shell;
@@ -82,12 +77,11 @@ pub mod stimulus;
 pub mod supervisor;
 pub mod transient;
 
-pub use behavioral::CpPll;
+pub use behavioral::{CpPll, EventDrivenCpPll};
 pub use campaign::{CampaignLog, NullCodec, PointCodec};
 pub use config::PllConfig;
 pub use engine::{AnalogAccess, ClosedFormPll, PllEngine, WorkStats};
 pub use error::{CampaignError, SweepPointError, ERROR_KINDS};
-pub use event_driven::{EventDrivenCpPll, OutOfClass};
 pub use linear::LoopAnalysis;
 pub use observe::{CampaignObserver, ObservatoryConfig};
 pub use plan::{CampaignPlan, Scheduler};

@@ -12,20 +12,14 @@
 //! PFD, the hold mux, the divider and the counters act; all of that lives
 //! in the shell.
 //!
-//! What happens *inside* a segment is the [`Integrator`]'s business, and
-//! it is the only difference between the two backends:
+//! What happens *inside* a segment is the [`Integrator`]'s business:
+//! [`crate::behavioral::MicroStep`] (behind [`crate::behavioral::CpPll`])
+//! takes a closed-form affine segment under every drive that has one and
+//! micro-steps the filter state vector elsewhere. The trait has one
+//! implementation; it stays a trait so a test can wrap the integrator
+//! and count the evaluations the shell asks of it.
 //!
-//! * [`crate::behavioral::MicroStep`] (behind
-//!   [`crate::behavioral::CpPll`]) steps the full filter state vector
-//!   exactly and accumulates phase by the trapezoid over micro-steps
-//!   wherever the filter moves, and takes a held interval whole — the
-//!   general path.
-//! * [`crate::event_driven::EventStep`] (behind
-//!   [`crate::event_driven::EventDrivenCpPll`]) reduces the filter to one
-//!   closed-form affine segment per drive state — exact and cheaper, for
-//!   first-order filters with a linear VCO.
-//!
-//! The shell finds both backends' feedback edges with one solver:
+//! The shell finds the feedback edges with one solver:
 //! safeguarded Newton on the integrator's phase advance, whose derivative
 //! is the instantaneous VCO frequency ([`Integrator::frequency`]), seeded
 //! from the frequency's derivatives at the segment start
@@ -33,10 +27,8 @@
 //! takes the phase as a closure, so the closed-form and gate-level
 //! engines find their output edges with it too.
 //!
-//! Dispatch is static: each backend is its own monomorphised
-//! `LoopShell<I>`, with the same event loop and the same work accounting
-//! (`steps` counts committed segments; every feedback edge is a
-//! shortened, rejected segment). A rejection is counted whether the trial
+//! Work accounting: `steps` counts committed segments, and every
+//! feedback edge is a shortened, rejected segment. A rejection is counted whether the trial
 //! segment was evaluated or proven to cross by the integrator's
 //! [`phase_floor`](Integrator::phase_floor) without evaluating it, so the
 //! counters do not depend on how cheaply the integrator answers.
@@ -44,7 +36,6 @@
 use crate::campaign::{bits_hex, f64_from_bits_hex};
 use crate::config::{DriveConfig, PllConfig};
 use crate::engine::{AnalogAccess, PllEngine, WorkStats};
-use crate::event_driven::OutOfClass;
 use crate::noise::{NoiseConfig, NoiseSource};
 use crate::stimulus::{FmStimulus, PhasePoint};
 use pllbist_analog::filter::LoopFilter;
@@ -122,13 +113,8 @@ pub struct Segment<S> {
 /// every method the PFD drive that is active over the whole segment (hold
 /// and an unexpired dead zone both present [`PfdOutput::Off`]).
 pub trait Integrator: Sized {
-    /// The integrator's dynamic state (a filter state vector or one
-    /// scalar).
+    /// The integrator's dynamic state (the filter state vector).
     type State: Clone + std::fmt::Debug + Send + Sync;
-    /// The backend tag ([`PllEngine::backend_name`]).
-    const BACKEND: &'static str;
-    /// The prefix of this backend's sidecar checkpoint tokens.
-    const TOKEN_PREFIX: &'static str;
     /// The longest segment the shell commits under `drive` at step scale
     /// 1, in reference periods ([`PllEngine::set_step_scale`] scales it).
     /// Infinite where the integrator is exact at any length under `drive`:
@@ -138,17 +124,7 @@ pub trait Integrator: Sized {
 
     /// Builds the integrator and its state preset at the lock point of
     /// `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the integrator cannot represent `config`.
     fn locked(config: &PllConfig) -> (Self, Self::State);
-
-    /// [`PllEngine::check_class`]: why [`locked`](Self::locked) cannot
-    /// represent `config` (by default it always can).
-    fn check_class(_config: &PllConfig) -> Result<(), OutOfClass> {
-        Ok(())
-    }
 
     /// The filter output (control) voltage at state `x` under `drive`.
     fn output(&self, x: &Self::State, drive: PfdOutput) -> f64;
@@ -162,30 +138,17 @@ pub trait Integrator: Sized {
 
     /// The first three time derivatives of the VCO frequency at state `x`
     /// under `drive` (Hz/s, Hz/s², Hz/s³): the curvature terms of the
-    /// feedback-edge solve's first candidate. By default zero, which
-    /// leaves that candidate at `Δφ/f`.
-    fn frequency_derivatives(&self, _x: &Self::State, _drive: PfdOutput) -> [f64; 3] {
-        [0.0; 3]
-    }
+    /// feedback-edge solve's first candidate. Zeros leave that candidate
+    /// at `Δφ/f`.
+    fn frequency_derivatives(&self, x: &Self::State, drive: PfdOutput) -> [f64; 3];
 
     /// A lower bound on the **computed** phase advance
-    /// `advance(x, drive, dt).dphase`, rounding included, from `x` alone.
-    /// When it already reaches the feedback target, the shell goes
-    /// straight to the edge solve without evaluating the full segment
-    /// (whose values it would only have compared). By default there is
-    /// no bound.
-    fn phase_floor(&self, _x: &Self::State, _drive: PfdOutput, _dt: f64) -> f64 {
-        f64::NEG_INFINITY
-    }
-
-    /// Called after each committed segment, ending at time `t` in state
-    /// `x` under `drive`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the integrator's model no longer holds there (by
-    /// default it always does).
-    fn check_state(&self, _x: &Self::State, _drive: PfdOutput, _t: f64) {}
+    /// `advance(x, drive, dt).dphase`, rounding included, from `x` alone
+    /// (`-∞` where there is none). When it already reaches the feedback
+    /// target, the shell goes straight to the edge solve without
+    /// evaluating the full segment (whose values it would only have
+    /// compared).
+    fn phase_floor(&self, x: &Self::State, drive: PfdOutput, dt: f64) -> f64;
 
     /// Encodes a state as field 1 of a sidecar token (no `|`).
     fn encode_state(x: &Self::State) -> String;
@@ -194,6 +157,12 @@ pub trait Integrator: Sized {
     /// malformed input.
     fn decode_state(field: &str) -> Option<Self::State>;
 }
+
+/// The backend tag ([`PllEngine::backend_name`]).
+const BACKEND: &str = "cp_pll";
+
+/// The prefix of the loop's sidecar checkpoint tokens.
+const TOKEN_PREFIX: &str = "cp:";
 
 /// Convergence tolerance for [`solve_crossing`], relative to
 /// the *segment length* (`dt_max`), not the candidate. The distinction
@@ -211,8 +180,8 @@ const EDGE_REL_TOL: f64 = 1e-13;
 
 /// The segment `dt ∈ (0, dt_max]` at whose end the phase advance reaches
 /// `target` cycles; the caller guarantees the phase at `dt_max` reaches
-/// the target. Every engine's output edges come from here: both
-/// integrators' feedback edges, [`crate::engine::ClosedFormPll`]'s
+/// the target. Every engine's output edges come from here: the
+/// integrator's feedback edges, [`crate::engine::ClosedFormPll`]'s
 /// feedback edges and [`crate::cosim::MixedSignalPll`]'s VCO toggles.
 ///
 /// The caller describes its phase by three things: `f_entry`, the
@@ -228,17 +197,16 @@ const EDGE_REL_TOL: f64 = 1e-13;
 /// `φ(t) = f·t·(1 + p·t + q·t² + r·t³)` with `p = f′/2f`, `q = f″/6f`
 /// and `r = f‴/24f`:
 /// `h − p·h² + (2p² − q)·h³ + (5pq − 5p³ − r)·h⁴`, `h = Δφ/f`. On
-/// [`crate::event_driven::EventStep`] that lands within the tolerance
-/// below, so one evaluation is the whole solve; with the zero
-/// derivatives [`crate::behavioral::MicroStep`] reports, it is `Δφ/f`.
-/// It stops
+/// [`crate::behavioral::MicroStep`]'s closed-form kernel that lands
+/// within the tolerance below, so one evaluation is the whole solve;
+/// with the zero derivatives its micro-step formula reports, it is
+/// `Δφ/f`. It stops
 /// when the bracket or the Newton step `(target − φ)/f` is under
 /// `tol = EDGE_REL_TOL·dt_max`, so the edge lies within
 /// `tol·max(1, f/φ̇) + 2ε/φ̇` of the computed phase's crossing, φ̇ being
-/// that phase's true slope and ε its evaluation noise. For
-/// [`crate::event_driven::EventStep`]'s exact phase φ̇ = f; for
-/// a trapezoid phase ([`crate::behavioral::MicroStep`], the gate-level
-/// engine) φ̇ = f + ¼·f̈·dt², which
+/// that phase's true slope and ε its evaluation noise. For the
+/// kernel's exact phase φ̇ = f; for a trapezoid phase (the micro-step
+/// formula, the gate-level engine) φ̇ = f + ¼·f̈·dt², which
 /// equals f while the frequency is linear in time. ε is rounding
 /// (cancellation in the closed form's `f0·dt + gdx·∫x`) and, on the
 /// micro-step path, the matrix exponential's ~1e-13 relative
@@ -372,8 +340,7 @@ struct Sampler {
 }
 
 /// A [`LoopShell`]'s complete dynamic state, `S` being the integrator
-/// state. A checkpoint is a copy of it ([`crate::behavioral::CpPllCheckpoint`],
-/// [`crate::event_driven::EventDrivenCheckpoint`]).
+/// state. A checkpoint is a copy of it ([`crate::behavioral::CpPllCheckpoint`]).
 ///
 /// Everything static — the filter, VCO, drive stage, segment cap — is a
 /// pure function of the [`PllConfig`] and is deliberately *not* stored:
@@ -411,8 +378,7 @@ pub struct LoopState<S> {
 
 /// The behavioural CP-PLL simulator over integrator `I`: PFD, hold mux,
 /// reference-edge scheduler, divider, noise, instrumentation and
-/// checkpointing. Use it through [`crate::behavioral::CpPll`] or
-/// [`crate::event_driven::EventDrivenCpPll`].
+/// checkpointing. Use it through [`crate::behavioral::CpPll`].
 pub struct LoopShell<I: Integrator> {
     config: PllConfig,
     vco: Vco,
@@ -440,11 +406,6 @@ impl<I: Integrator> LoopShell<I> {
     /// control voltage that yields `N·f_ref`, phases aligned. This is how
     /// every measurement starts (the paper's Table 2 assumes "the PLL is
     /// initially locked").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the integrator cannot represent `config` (see
-    /// [`crate::event_driven`] for the event integrator's class).
     pub fn new_locked(config: &PllConfig) -> Self {
         let (integ, x) = I::locked(config);
         Self::assemble(config, integ, x)
@@ -544,11 +505,6 @@ impl<I: Integrator> LoopShell<I> {
     /// zone, hence ineffective) seen by this loop's PFD so far.
     pub fn pfd_glitch_count(&self) -> u64 {
         self.st.pfd.glitch_count()
-    }
-
-    /// The PFD's present output state.
-    pub fn pfd_output(&self) -> PfdOutput {
-        self.st.pfd.output()
     }
 
     /// Replaces the reference stimulus **phase-continuously**: the edge
@@ -726,7 +682,6 @@ impl<I: Integrator> LoopShell<I> {
         self.st.vco_phase_cycles += seg.dphase;
         self.st.t += seg.dt;
         self.st.stats.steps += 1;
-        self.integ.check_state(&self.st.x, drive, self.st.t);
         if let Some(sampler) = &mut self.sampler {
             if self.st.t >= sampler.next_t {
                 let v = self.integ.output(&self.st.x, drive);
@@ -964,11 +919,7 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
     }
 
     fn backend_name() -> &'static str {
-        I::BACKEND
-    }
-
-    fn check_class(config: &PllConfig) -> Result<(), OutOfClass> {
-        I::check_class(config)
+        BACKEND
     }
 
     fn encode_checkpoint(snapshot: &Self::Checkpoint) -> Option<String> {
@@ -980,7 +931,7 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
         let s = &snapshot.stats;
         Some(format!(
             "{}{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{},{},{},{},{}",
-            I::TOKEN_PREFIX,
+            TOKEN_PREFIX,
             bits_hex(snapshot.t),
             I::encode_state(&snapshot.x),
             snapshot.pfd.state_code(),
@@ -1001,7 +952,7 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
     }
 
     fn decode_checkpoint(token: &str) -> Option<Self::Checkpoint> {
-        let rest = token.strip_prefix(I::TOKEN_PREFIX)?;
+        let rest = token.strip_prefix(TOKEN_PREFIX)?;
         let parts: Vec<&str> = rest.split('|').collect();
         if parts.len() != 12 {
             return None;
@@ -1087,17 +1038,29 @@ pub(crate) mod tests {
         assert_eq!(pll.work_stats().ref_edges, before + 1);
     }
 
-    /// One `#[test]` per shared behaviour per backend.
+    /// A stock config with a negligible tuning-curve curvature, which
+    /// takes every drive off the kernel onto micro-steps.
+    pub(crate) fn micro_step_path(mut cfg: PllConfig) -> PllConfig {
+        cfg.vco_curvature = (1e-9, 0.0);
+        cfg
+    }
+
+    /// One `#[test]` per shared behaviour per integration formula:
+    /// `$path` maps each stock config onto the formula under test.
     macro_rules! engine_suite {
-        ($backend:ident, $engine:ty) => {
-            mod $backend {
+        ($formula:ident, $path:expr) => {
+            mod $formula {
                 use super::*;
 
-                type Engine = $engine;
+                type Engine = crate::behavioral::CpPll;
+
+                fn on_path(cfg: PllConfig) -> PllConfig {
+                    $path(cfg)
+                }
 
                 #[test]
                 fn locked_loop_stays_locked() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.advance_to(0.5);
                     let f = pll.average_frequency_hz(0.1);
                     assert!((f - 5_000.0).abs() < 2.0, "f = {f}");
@@ -1108,7 +1071,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn frequency_step_settles_to_n_times_reference() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.set_stimulus(FmStimulus::constant(1_000.0, 8.0));
                     pll.advance_to(1.5);
                     // N = 5 → output deviation 40 Hz.
@@ -1118,7 +1081,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn charge_pump_loop_locks_too() {
-                    let mut pll = Engine::new_locked(&PllConfig::integer_n_charge_pump());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::integer_n_charge_pump()));
                     pll.advance_to(0.2);
                     let f = pll.average_frequency_hz(0.02);
                     assert!((f - 80_000.0).abs() < 100.0, "f = {f}");
@@ -1126,7 +1089,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn hold_freezes_the_vco() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.set_stimulus(FmStimulus::constant(1_000.0, 6.0));
                     pll.advance_to(0.9);
                     let f_before = pll.average_frequency_hz(0.1); // ends at t = 1.0
@@ -1154,7 +1117,7 @@ pub(crate) mod tests {
                 #[test]
                 fn hold_droops_with_leakage_fault() {
                     use pllbist_analog::fault::Fault;
-                    let cfg = PllConfig::paper_table3()
+                    let cfg = on_path(PllConfig::paper_table3())
                         .with_fault(Fault::FilterLeakage(5e6))
                         .unwrap();
                     let mut pll = Engine::new_locked(&cfg);
@@ -1168,7 +1131,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn events_are_ordered_and_interleaved() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.collect_events(true);
                     pll.advance_to(0.05);
                     let events = pll.take_events();
@@ -1189,7 +1152,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn sine_fm_modulates_the_output() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     // Well inside the 8 Hz loop bandwidth: output tracks
                     // the input.
                     pll.set_stimulus(FmStimulus::pure_sine(1_000.0, 10.0, 1.0));
@@ -1212,7 +1175,7 @@ pub(crate) mod tests {
                 #[test]
                 fn dead_zone_slows_small_corrections() {
                     // With a gross dead zone, a small phase error persists.
-                    let mut cfg = PllConfig::paper_table3();
+                    let mut cfg = on_path(PllConfig::paper_table3());
                     cfg.pfd_dead_zone = 40e-6; // 4 % of the reference period
                     let mut pll = Engine::new_locked(&cfg);
                     pll.advance_to(0.5);
@@ -1223,7 +1186,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn sampler_interval_respected() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.enable_sampling(10e-3);
                     pll.advance_to(0.5);
                     let s = pll.take_samples();
@@ -1233,7 +1196,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn solver_stats_count_work_and_diff_cleanly() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     assert_eq!(pll.work_stats(), WorkStats::default());
                     pll.advance_to(0.1);
                     let mid = pll.work_stats();
@@ -1259,7 +1222,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn checkpoint_restore_resumes_bit_exactly() {
-                    let cfg = PllConfig::paper_table3();
+                    let cfg = on_path(PllConfig::paper_table3());
                     let mut a = Engine::new_locked(&cfg);
                     a.set_stimulus(FmStimulus::pure_sine(1_000.0, 10.0, 8.0));
                     a.set_noise(Some(NoiseConfig::symmetric(2e-7, 42)));
@@ -1285,7 +1248,7 @@ pub(crate) mod tests {
                     // restored loop re-evaluates the stimulus at the
                     // pending edge, which must give the bits the
                     // uninterrupted loop's carried cursor gives.
-                    let cfg = PllConfig::paper_table3();
+                    let cfg = on_path(PllConfig::paper_table3());
                     for stimulus in [
                         FmStimulus::pure_sine(1_000.0, 10.0, 8.0),
                         FmStimulus::phase_modulated(1_000.0, 0.2, 8.0),
@@ -1313,7 +1276,7 @@ pub(crate) mod tests {
 
                 #[test]
                 fn stimulus_switch_keeps_a_pending_edge() {
-                    let cfg = PllConfig::paper_table3();
+                    let cfg = on_path(PllConfig::paper_table3());
                     let mut pll = Engine::new_locked(&cfg);
                     pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, 8.0, 10));
                     pll.advance_to(0.0503);
@@ -1325,7 +1288,7 @@ pub(crate) mod tests {
                 fn stimulus_switch_keeps_a_jittered_pending_edge() {
                     // A jittered edge can be emitted after its ideal time;
                     // the switch falls between the two.
-                    let cfg = PllConfig::paper_table3();
+                    let cfg = on_path(PllConfig::paper_table3());
                     let mut pll = Engine::new_locked(&cfg);
                     pll.set_noise(Some(NoiseConfig {
                         ref_edge_jitter_rms: 1e-4,
@@ -1345,7 +1308,7 @@ pub(crate) mod tests {
                 #[test]
                 #[should_panic(expected = "ahead of the current time")]
                 fn cannot_run_backwards() {
-                    let mut pll = Engine::new_locked(&PllConfig::paper_table3());
+                    let mut pll = Engine::new_locked(&on_path(PllConfig::paper_table3()));
                     pll.advance_to(0.1);
                     pll.advance_to(0.05);
                 }
@@ -1353,12 +1316,14 @@ pub(crate) mod tests {
         };
     }
 
-    engine_suite!(cp_pll, crate::behavioral::CpPll);
-    engine_suite!(event_driven, crate::event_driven::EventDrivenCpPll);
+    // The micro-step formula `CpPll` always had, and the closed-form
+    // kernel of the event engine it absorbed.
+    engine_suite!(cp_pll, micro_step_path);
+    engine_suite!(event_driven, std::convert::identity);
 
     mod work_per_edge {
         use super::*;
-        use crate::event_driven::EventStep;
+        use crate::behavioral::MicroStep;
 
         /// An integrator that counts the segment evaluations the shell
         /// asks of `I`, and otherwise is `I`.
@@ -1369,8 +1334,6 @@ pub(crate) mod tests {
 
         impl<I: Integrator> Integrator for Counting<I> {
             type State = I::State;
-            const BACKEND: &'static str = I::BACKEND;
-            const TOKEN_PREFIX: &'static str = I::TOKEN_PREFIX;
 
             fn locked(config: &PllConfig) -> (Self, I::State) {
                 let (inner, x) = I::locked(config);
@@ -1402,10 +1365,6 @@ pub(crate) mod tests {
                 self.inner.phase_floor(x, drive, dt)
             }
 
-            fn check_state(&self, x: &I::State, drive: PfdOutput, t: f64) {
-                self.inner.check_state(x, drive, t);
-            }
-
             fn encode_state(x: &I::State) -> String {
                 I::encode_state(x)
             }
@@ -1418,7 +1377,7 @@ pub(crate) mod tests {
         /// Segment evaluations per reference edge of a locked
         /// `paper_table3` loop under the paper's ten-step FSK at `f_mod`.
         fn evaluations_per_edge(f_mod: f64) -> f64 {
-            let mut pll = LoopShell::<Counting<EventStep>>::new_locked(&PllConfig::paper_table3());
+            let mut pll = LoopShell::<Counting<MicroStep>>::new_locked(&PllConfig::paper_table3());
             pll.set_stimulus(FmStimulus::multi_tone(1_000.0, 10.0, f_mod, 10));
             pll.advance_to(0.5);
             let (advances, before) = (pll.integ.advances, pll.work_stats());
@@ -1429,7 +1388,8 @@ pub(crate) mod tests {
 
         #[test]
         fn event_engine_evaluates_about_two_segments_per_reference_edge() {
-            // Per reference period: one edge solve, whose quartic seed
+            // On the closed-form kernel, the event engine's formula. Per
+            // reference period: one edge solve, whose quartic seed
             // lands within tolerance at the first evaluation, and one
             // segment to the reference edge. The phase floor skips the
             // full-period trial that used to precede each solve (3.5–4.0
@@ -1451,7 +1411,6 @@ pub(crate) mod tests {
         use crate::config::{DriveConfig, FilterConfig};
         use crate::cosim::{pump_table, MixedSignalPll};
         use crate::engine::ClosedFormPll;
-        use crate::event_driven::EventStep;
         use pllbist_testkit::prop::CaseResult;
         use pllbist_testkit::{prop_assert, prop_assume, prop_check};
 
@@ -1658,22 +1617,36 @@ pub(crate) mod tests {
 
         #[test]
         fn newton_edges_match_bisection_from_negative_frequency() {
-            // The event kernels extrapolate the VCO linearly, so a state
-            // far below lock enters the segment at f ≤ 0 and the first
-            // candidate is the bracket midpoint, not a Newton guess. The
-            // pump's Up current then sweeps the frequency positive.
+            // The closed-form kernel extrapolates the VCO linearly, so a
+            // state far below lock enters the segment at f ≤ 0 and the
+            // first candidate is the bracket midpoint, not a Newton guess.
+            // The pump's Up current then sweeps the frequency positive.
+            // (`MicroStep` hands such a segment to the micro-step formula;
+            // this solves on the kernel's own phase.)
             let cfg = PllConfig::integer_n_charge_pump();
-            let (mut integ, lock) = EventStep::locked(&cfg);
+            let (integ, lock) = MicroStep::locked(&cfg);
             let up = PfdOutput::Up;
-            let f_lock = integ.frequency(&lock, up);
-            let hz_per_unit = integ.frequency(&(lock + 1.0), up) - f_lock;
+            let kernel = integ.kernel(up).expect("a linear VCO has kernels");
+            let f_lock = kernel.frequency(lock[0]);
+            let hz_per_unit = kernel.frequency(lock[0] + 1.0) - f_lock;
             let cap = integ.segment_cap_periods(up) / cfg.f_ref_hz;
             prop_check!(cases: 128, |g| {
                 let f_entry = g.f64_range(-600.0, 0.0);
-                let x = lock + (f_entry - f_lock) / hz_per_unit;
+                let x = lock[0] + (f_entry - f_lock) / hz_per_unit;
                 let dt_max = cap * g.f64_range(0.5, 1.0);
                 let fraction = g.f64_range(0.0, 1.0);
-                integrator_matches_bisection(&mut integ, &x, up, dt_max, fraction)
+                let segment = |dt| {
+                    let (end, dphase) = kernel.segment(x, dt);
+                    (Segment { dt, dphase, end }, kernel.frequency(end))
+                };
+                newton_matches_bisection(
+                    kernel.frequency(x),
+                    kernel.derivatives(x),
+                    segment,
+                    dt_max,
+                    fraction,
+                    &mut Tally::default(),
+                )
             });
         }
 

@@ -5,12 +5,12 @@
 //!
 //! ```no_run
 //! use pllbist_sim::config::PllConfig;
-//! use pllbist_sim::event_driven::EventDrivenCpPll;
+//! use pllbist_sim::engine::ClosedFormPll;
 //! use pllbist_sim::plan::{CampaignPlan, Scheduler};
 //! use pllbist_sim::supervisor::SupervisorPolicy;
 //!
 //! let plan = CampaignPlan::new(PllConfig::paper_table3())
-//!     .engine::<EventDrivenCpPll>()
+//!     .engine::<ClosedFormPll>()
 //!     .checkpoint(true)
 //!     .supervised(SupervisorPolicy::default())
 //!     .scheduler(Scheduler::WorkStealing { threads: 8 })
@@ -151,11 +151,9 @@ impl CampaignPlan<CpPll> {
     /// supervision, auto-threaded work stealing, no resume file, no
     /// observer, telemetry off.
     ///
-    /// The default backend is `CpPll` because it accepts every
-    /// configuration; [`crate::event_driven::EventDrivenCpPll`] is the
-    /// faster choice for in-class configs (see
-    /// [`crate::event_driven::OutOfClass::check`]) and is selected with
-    /// [`engine`](Self::engine).
+    /// `CpPll` runs every configuration, on its closed-form segments
+    /// wherever the filter and VCO allow; the other backends are
+    /// selected with [`engine`](Self::engine).
     pub fn new(config: PllConfig) -> Self {
         Self {
             config,
@@ -443,19 +441,18 @@ impl<E: PllEngine> CampaignPlan<E> {
 mod tests {
     use super::*;
     use crate::engine::ClosedFormPll;
-    use crate::event_driven::EventDrivenCpPll;
 
     #[test]
     fn builder_lowers_options_onto_fields() {
         let plan = CampaignPlan::new(PllConfig::paper_table3())
-            .engine::<EventDrivenCpPll>()
+            .engine::<ClosedFormPll>()
             .checkpoint(false)
             .supervised(SupervisorPolicy::default())
             .scheduler(Scheduler::WorkStealing { threads: 8 })
             .resume_from("campaign.jsonl")
             .lock_settle(0.25)
             .telemetry(TelemetryConfig::enabled());
-        assert_eq!(plan.backend(), "event_driven");
+        assert_eq!(plan.backend(), "closed_form");
         assert!(!plan.checkpoint_enabled());
         assert_eq!(plan.supervision(), Some(&SupervisorPolicy::default()));
         assert_eq!(plan.schedule().threads(), 8);

@@ -388,16 +388,16 @@ impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
     ///
     /// # Errors
     ///
-    /// Those of `in_memory`, then a results file that belongs to another
-    /// campaign ([`CampaignError::HeaderMismatch`]), is corrupted before
-    /// its final line, or fails on the filesystem.
+    /// A results file that belongs to another campaign
+    /// ([`CampaignError::HeaderMismatch`]), is corrupted before its final
+    /// line, or fails on the filesystem.
     pub fn open(
         plan: &'p CampaignPlan<E>,
         f_mod_hz: &'p [f64],
         codec: C,
         workload_salt: &str,
     ) -> Result<Self, CampaignError> {
-        let mut run = Self::in_memory(plan, f_mod_hz)?;
+        let mut run = Self::in_memory(plan, f_mod_hz);
         if let Some(path) = plan.resume_path() {
             let digest = plan.digest(f_mod_hz, workload_salt);
             let log = CampaignLog::open(path, codec, digest.clone(), f_mod_hz.len())?;
@@ -407,26 +407,17 @@ impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
         Ok(run)
     }
 
-    /// Checks the configuration against the engine
-    /// ([`PllEngine::check_class`]) and builds the run's collector. The
-    /// plan's `resume_from` is ignored: nothing touches the
-    /// disk (for outcomes that have no [`PointCodec`] yet).
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::OutOfClass`], before anything is settled.
-    pub fn in_memory(
-        plan: &'p CampaignPlan<E>,
-        f_mod_hz: &'p [f64],
-    ) -> Result<Self, CampaignError> {
-        E::check_class(plan.config()).map_err(CampaignError::OutOfClass)?;
-        Ok(Self {
+    /// Builds the run's collector. The plan's `resume_from` is ignored:
+    /// nothing touches the disk (for outcomes that have no
+    /// [`PointCodec`] yet).
+    pub fn in_memory(plan: &'p CampaignPlan<E>, f_mod_hz: &'p [f64]) -> Self {
+        Self {
             plan,
             f_mod_hz,
             telemetry: Collector::from_config(plan.telemetry_config()),
             log: None,
             sidecar: None,
-        })
+        }
     }
 
     /// The run's collector, drained into [`PlanOutcome::telemetry`].
@@ -473,8 +464,7 @@ impl<'p, E: PllEngine, C: PointCodec> PlanRun<'p, E, C> {
 ///
 /// # Errors
 ///
-/// Those of the two steps; none for an in-class plan without a resume
-/// file.
+/// Those of the two steps; none for a plan without a resume file.
 pub fn run_plan<E, C, F>(
     plan: &CampaignPlan<E>,
     f_mod_hz: &[f64],

@@ -61,7 +61,6 @@ use crate::config::{DriveConfig, FilterConfig, PllConfig};
 use crate::durable::{self, Armed};
 use crate::engine::{ClosedFormPll, PllEngine};
 use crate::error::{CampaignError, InjectedKill, SweepPointError};
-use crate::event_driven::EventDrivenCpPll;
 use crate::observe::{CampaignObserver, ObservatoryConfig};
 use crate::parallel::resolve_threads;
 use crate::plan::{CampaignPlan, Scheduler};
@@ -96,16 +95,11 @@ type Backend = (
 );
 
 /// Backends the service can instantiate: the one list of them.
-static BACKENDS: [Backend; 3] = [
+static BACKENDS: [Backend; 2] = [
     (
         CpPll::backend_name,
         admit::<CpPll>,
         execute_attempt::<CpPll>,
-    ),
-    (
-        EventDrivenCpPll::backend_name,
-        admit::<EventDrivenCpPll>,
-        execute_attempt::<EventDrivenCpPll>,
     ),
     (
         ClosedFormPll::backend_name,
@@ -114,13 +108,10 @@ static BACKENDS: [Backend; 3] = [
     ),
 ];
 
-/// Admits a parsed submission to backend `E`: the engine must be able to
-/// run the config ([`PllEngine::check_class`]), and the header must
-/// rebuild a plan whose digest is the one it claims
-/// ([`CampaignPlan::from_header`]) — that digest names the job and its
-/// directory.
+/// Admits a parsed submission to backend `E`: the header must rebuild a
+/// plan whose digest is the one it claims ([`CampaignPlan::from_header`])
+/// — that digest names the job and its directory.
 fn admit<E: PllEngine>(spec: &JobSpec) -> Result<(), String> {
-    E::check_class(&spec.config).map_err(|e| e.to_string())?;
     CampaignPlan::<E>::from_header(&spec.header, spec.config.clone(), &spec.grid, &spec.salt)
         .map(drop)
         .map_err(|e| format!("header rejected: {e}"))
@@ -498,8 +489,7 @@ pub struct JobSpec {
     pub salt: String,
     /// Worker threads for the sweep.
     pub threads: usize,
-    /// Backend tag from the header (`cp_pll` / `event_driven` /
-    /// `closed_form`).
+    /// Backend tag from the header (`cp_pll` / `closed_form`).
     pub backend: String,
     /// The plan digest — doubles as the job id and directory name.
     pub digest: String,
@@ -515,8 +505,8 @@ impl JobSpec {
     /// A human-readable reason (surfaced as the 400 body) when the
     /// header or spec line is missing or malformed, the digest is not
     /// 16 lowercase hex characters (it names a directory — this is the
-    /// path-traversal guard), the backend is not servable or cannot run
-    /// the config ([`PllEngine::check_class`]), the grid is empty /
+    /// path-traversal guard), the backend is not servable, the grid is
+    /// empty /
     /// non-finite / non-positive / has duplicate bit patterns, the
     /// point count disagrees with the grid, or the header's digest is not
     /// the one its plan, config, grid and salt rebuild, or the fault plan
@@ -1543,18 +1533,22 @@ mod tests {
         assert!(JobSpec::parse(&zero_threads).is_err());
         let bad_backend = body.replace("closed_form", "mixed_signal");
         assert!(JobSpec::parse(&bad_backend).is_err());
-        // Configs outside the event engine's exact class are refused up
-        // front instead of panicking in the runner.
-        for (config, _) in crate::event_driven::out_of_class_examples() {
-            let event = CampaignPlan::new(config.clone()).engine::<EventDrivenCpPll>();
-            let body = submission_body(&event, &grid, "s", &FaultPlan::none());
-            let reason = JobSpec::parse(&body).expect_err("out of class");
-            assert!(reason.contains("EventDrivenCpPll requires"), "{reason}");
-            // The same config is fine on the general engine.
-            let general = CampaignPlan::new(config);
-            JobSpec::parse(&submission_body(&general, &grid, "s", &FaultPlan::none()))
-                .expect("CpPll accepts every config");
-        }
+        // One tag names the behavioural loop: the event engine's old tag
+        // is an unknown backend like any other, not a second digest for
+        // the same engine.
+        let cp_pll = submission_body(
+            &CampaignPlan::new(PllConfig::paper_table3()),
+            &grid,
+            "s",
+            &FaultPlan::none(),
+        );
+        JobSpec::parse(&cp_pll).expect("cp_pll is servable");
+        let retired = cp_pll.replace("\"backend\":\"cp_pll\"", "\"backend\":\"event_driven\"");
+        assert_ne!(retired, cp_pll);
+        assert_eq!(
+            JobSpec::parse(&retired).expect_err("retired tag"),
+            "backend \"event_driven\" is not servable"
+        );
         // The fault plan is bounded, so the wire cannot set the attempt
         // budget or name a fault that never fires.
         let with = |faults: FaultPlan| JobSpec::parse(&submission_body(&plan, &grid, "s", &faults));

@@ -180,9 +180,9 @@ impl LockSidecar {
 mod tests {
     use super::*;
     use crate::behavioral::CpPll;
+    use crate::config::FilterConfig;
     use crate::config::PllConfig;
     use crate::engine::ClosedFormPll;
-    use crate::event_driven::EventDrivenCpPll;
     use crate::scenario::Scenario;
 
     fn tmp(name: &str) -> PathBuf {
@@ -191,8 +191,7 @@ mod tests {
         dir.join(name)
     }
 
-    fn settled<E: PllEngine>(secs: f64) -> (PllConfig, E) {
-        let cfg = PllConfig::paper_table3();
+    fn settled<E: PllEngine>(cfg: PllConfig, secs: f64) -> (PllConfig, E) {
         let scenario = Scenario::with_lock_settle(&cfg, secs);
         let pll = scenario.settle_fresh::<E>();
         (cfg, pll)
@@ -200,8 +199,10 @@ mod tests {
 
     #[test]
     fn store_load_round_trip_is_bit_exact_for_both_engines() {
-        fn check<E: PllEngine>(name: &str) {
-            let (cfg, pll) = settled::<E>(0.05);
+        // The closed-form kernel's one-state token, and a ripple
+        // capacitor's two-state token on micro-steps.
+        fn check<E: PllEngine>(name: &str, cfg: PllConfig) {
+            let (cfg, pll) = settled::<E>(cfg, 0.05);
             let snap = pll.checkpoint();
             let sidecar = LockSidecar::at(tmp(name), "1111222233334444");
             assert!(sidecar.store::<E>(&snap).unwrap());
@@ -228,13 +229,17 @@ mod tests {
                 std::mem::discriminant(&SidecarOutcome::Absent)
             );
         }
-        check::<CpPll>("roundtrip_cp.ckpt");
-        check::<EventDrivenCpPll>("roundtrip_ev.ckpt");
+        let mut ripple = PllConfig::integer_n_charge_pump();
+        if let FilterConfig::SeriesRc { ref mut c2, .. } = ripple.filter {
+            *c2 = Some(3.3e-9);
+        }
+        check::<CpPll>("roundtrip_cp.ckpt", PllConfig::paper_table3());
+        check::<CpPll>("roundtrip_ripple.ckpt", ripple);
     }
 
     #[test]
     fn wrong_digest_backend_or_torn_file_rejects() {
-        let (_cfg, pll) = settled::<CpPll>(0.02);
+        let (_cfg, pll) = settled::<CpPll>(PllConfig::paper_table3(), 0.02);
         let snap = pll.checkpoint();
         let sidecar = LockSidecar::at(tmp("guards.ckpt"), "aaaabbbbccccdddd");
         assert!(sidecar.store::<CpPll>(&snap).unwrap());
@@ -247,7 +252,7 @@ mod tests {
         ));
         // Wrong backend.
         assert!(matches!(
-            sidecar.load::<EventDrivenCpPll>(),
+            sidecar.load::<ClosedFormPll>(),
             SidecarOutcome::Rejected(reason) if reason.contains("backend")
         ));
         // Torn file: every truncation of the stored bytes rejects (or is
@@ -265,7 +270,7 @@ mod tests {
 
     #[test]
     fn unsupported_backend_declines_and_clears_stale_files() {
-        let (_cfg, pll) = settled::<CpPll>(0.02);
+        let (_cfg, pll) = settled::<CpPll>(PllConfig::paper_table3(), 0.02);
         let snap = pll.checkpoint();
         let sidecar = LockSidecar::at(tmp("decline.ckpt"), "9999888877776666");
         assert!(sidecar.store::<CpPll>(&snap).unwrap());

@@ -22,17 +22,10 @@
 //! observe only the [`PllEngine`] surface (control voltage, frequency,
 //! phase, [`PllEngine::work_stats`]), never an engine's integration
 //! internals. The "step" budget counts whatever `work_stats().steps`
-//! means on the backend at hand — ODE micro-steps on the micro-stepped
-//! [`crate::behavioral::CpPll`], committed closed-form segments (an
-//! *event budget*) on the per-event
-//! [`crate::event_driven::EventDrivenCpPll`] — and the retry ladder's
+//! means on the backend at hand — committed segments, closed-form or
+//! micro-step, on [`crate::behavioral::CpPll`] — and the retry ladder's
 //! [`PllEngine::set_step_scale`] tightens the engine's own work
-//! granularity (micro-step or event-subdivision guard). Because the
-//! event engine commits no more units per simulated second than the
-//! micro-stepped engine (as many on a lossless loop, whose held
-//! intervals `CpPll` takes whole; far fewer where a leaky filter keeps
-//! `CpPll` micro-stepping), a budget tuned for `CpPll` is conservative,
-//! not tight, on `EventDrivenCpPll`.
+//! granularity (micro-step or event-subdivision guard).
 //!
 //! A tripped guardrail aborts the in-flight point via
 //! [`std::panic::panic_any`] with the typed error as payload; the
@@ -380,10 +373,6 @@ impl<E: PllEngine> PllEngine for Supervised<E> {
         E::backend_name()
     }
 
-    fn check_class(config: &PllConfig) -> Result<(), crate::event_driven::OutOfClass> {
-        E::check_class(config)
-    }
-
     fn work_stats(&self) -> WorkStats {
         self.inner.work_stats()
     }
@@ -644,13 +633,16 @@ mod tests {
         // comfortably covers attempt 0 killed the retry during its own
         // settle, quarantining recoverable points as
         // StepBudgetExhausted. The filter leaks, so it moves between pump
-        // pulses and the halved micro-step binds over the whole settle
+        // pulses, and the VCO is (negligibly) curved, so every drive
+        // micro-steps: the halved micro-step binds over the whole settle
         // (a lossless filter holds there, and its held intervals are one
-        // segment at any step scale).
+        // segment at any step scale; a closed-form segment's two-period
+        // cap never binds between edges).
         let mut cfg = PllConfig::paper_table3();
         if let FilterConfig::PassiveLag { ref mut r_leak, .. } = cfg.filter {
             *r_leak = Some(50e6);
         }
+        cfg.vco_curvature = (1e-9, 0.0);
         let lock_settle = 0.01;
         // Steps an attempt-0 settle costs on this engine.
         let steps0 = {

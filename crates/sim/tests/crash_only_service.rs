@@ -16,8 +16,8 @@ use pllbist_sim::service::{
     submission_body, CampaignService, CrashFault, FaultPlan, ServiceConfig, VoltsCodec,
 };
 use pllbist_sim::{
-    http_get, http_post, CampaignLog, CampaignPlan, ClosedFormPll, CpPll, EventDrivenCpPll,
-    PllEngine, SupervisorPolicy,
+    http_get, http_post, CampaignLog, CampaignPlan, ClosedFormPll, CpPll, PllEngine,
+    SupervisorPolicy,
 };
 use pllbist_telemetry::json::json_str_field;
 use pllbist_telemetry::{Record, SCHEMA_VERSION};
@@ -39,9 +39,9 @@ fn closed_form_plan(threads: usize) -> CampaignPlan<ClosedFormPll> {
         .scheduler(Scheduler::WorkStealing { threads })
 }
 
-fn event_driven_plan(threads: usize) -> CampaignPlan<EventDrivenCpPll> {
+fn cp_pll_plan(threads: usize) -> CampaignPlan<CpPll> {
     CampaignPlan::new(PllConfig::paper_table3())
-        .engine::<EventDrivenCpPll>()
+        .engine::<CpPll>()
         .lock_settle(0.05)
         .supervised(SupervisorPolicy::default())
         .scheduler(Scheduler::WorkStealing { threads })
@@ -146,7 +146,7 @@ fn faulted_campaign_recovers_byte_identical_to_unfaulted_reference() {
 
     let ref_root = tmp_root("byte_ref");
     let ref_service = CampaignService::start(ServiceConfig::rooted(&ref_root)).expect("start ref");
-    let ref_plan = event_driven_plan(1);
+    let ref_plan = cp_pll_plan(1);
     let job = ref_plan.digest(&grid, "svc-bytes");
     let ref_body = submission_body(&ref_plan, &grid, "svc-bytes", &faults.reference());
     http_post(ref_service.addr(), "/jobs", &ref_body).expect("submit ref");
@@ -159,7 +159,7 @@ fn faulted_campaign_recovers_byte_identical_to_unfaulted_reference() {
     let hot_root = tmp_root("byte_hot");
     let hot_service =
         CampaignService::start(ServiceConfig::rooted(&hot_root)).expect("start faulted");
-    let hot_plan = event_driven_plan(3);
+    let hot_plan = cp_pll_plan(3);
     let hot_body = submission_body(&hot_plan, &grid, "svc-bytes", &faults);
     http_post(hot_service.addr(), "/jobs", &hot_body).expect("submit faulted");
     assert_eq!(

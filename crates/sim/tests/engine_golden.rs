@@ -54,7 +54,7 @@
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::stimulus::FmStimulus;
-use pllbist_sim::{CpPll, EventDrivenCpPll, PllEngine};
+use pllbist_sim::{CpPll, PllEngine};
 
 /// The three pinned configurations, by name.
 fn configs() -> [(&'static str, PllConfig); 3] {
@@ -131,20 +131,20 @@ fn cp_pll_bits_are_pinned() {
 
 #[test]
 fn event_driven_bits_are_pinned() {
-    check::<EventDrivenCpPll>(&[
+    check::<CpPll>(&[
         (
             "paper_table3",
-            "ev:3fd999999999999a|4003fd5fe199e72f|0;3fd9984546b4ebc6;0000000000000000;0;d,3fd9984546b4ebc6,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab578468|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|794,400,400,400,1",
+            "cp:3fd999999999999a|4003fd5fe199e72f|0;3fd9984546b4ebc6;0000000000000000;0;d,3fd9984546b4ebc6,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab578468|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|794,400,400,400,1",
             "409f418dab578468",
         ),
         (
             "integer_n_charge_pump",
-            "ev:3fa47ae147ae147b|4002e8f12466be48|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf4,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|793,398,400,398,1",
+            "cp:3fa47ae147ae147b|4002e8f12466be48|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf4,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|793,398,400,398,1",
             "40a8effc5e292687",
         ),
         (
             "paper_table3_dead_zone",
-            "ev:3fd999999999999a|4003fe1d9aac3b9c|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b46726e47f,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca412dbe|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
+            "cp:3fd999999999999a|4003fe1d9aac3b9c|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b46726e47f,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca412dbe|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
             "409f3f63ca412dbe",
         ),
     ]);

@@ -1,5 +1,5 @@
-//! Contract tests for the event-driven backend under the full campaign
-//! stack: supervision, telemetry, checkpointing, observation and
+//! Contract tests for the behavioural backend on its closed-form
+//! (event-driven) segments under the full campaign stack: supervision, telemetry, checkpointing, observation and
 //! resumable results files must neither steer the physics nor break the
 //! standing invariant — healthy runs are bitwise identical at every
 //! thread count, and a killed campaign resumes byte-identically.
@@ -10,9 +10,9 @@ use std::sync::Arc;
 use pllbist_sim::bench_measure::{measure_sweep_points, run_sweep, BenchSettings};
 use pllbist_sim::campaign::CampaignLog;
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::event_driven::EventDrivenCpPll;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::scenario::Scenario;
+use pllbist_sim::CpPll;
 use pllbist_sim::{
     CampaignPlan, PllEngine, Scheduler, SupervisorPolicy, SweepPointError, VoltsCodec,
 };
@@ -27,14 +27,14 @@ fn quick_settings() -> BenchSettings {
     }
 }
 
-fn event_plan(cfg: &PllConfig, threads: usize) -> CampaignPlan<EventDrivenCpPll> {
+fn event_plan(cfg: &PllConfig, threads: usize) -> CampaignPlan<CpPll> {
     let scheduler = if threads == 1 {
         Scheduler::Serial
     } else {
         Scheduler::WorkStealing { threads }
     };
     CampaignPlan::new(cfg.clone())
-        .engine::<EventDrivenCpPll>()
+        .engine::<CpPll>()
         .scheduler(scheduler)
         .supervised(SupervisorPolicy::default())
         .telemetry(TelemetryConfig::enabled())
@@ -138,15 +138,12 @@ fn killed_event_campaign_resumes_byte_identically_at_every_thread_count() {
 const TONES: [f64; 6] = [1.0, 3.0, 7.0, 9.0, 21.0, 55.0];
 const SICK_TONE: f64 = 9.0;
 
-fn capture(
-    pll: &mut pllbist_sim::Supervised<EventDrivenCpPll>,
-    fm: f64,
-) -> Result<f64, SweepPointError> {
+fn capture(pll: &mut pllbist_sim::Supervised<CpPll>, fm: f64) -> Result<f64, SweepPointError> {
     let t = pll.time();
     pll.advance_to(t + 0.02);
     if fm == SICK_TONE {
         // One typed, deterministic failure so the observed run carries
-        // real retry and quarantine traffic on the event backend too.
+        // real retry and quarantine traffic on the closed-form path too.
         return Err(SweepPointError::DegenerateFit { f_mod_hz: fm });
     }
     Ok(pll.control_voltage())
@@ -159,7 +156,7 @@ fn run_observed(path: &PathBuf, threads: usize, observer: Option<&CampaignObserv
     let tel = Collector::disabled();
     let log = CampaignLog::open(path, VoltsCodec, "evobs00000000001".into(), TONES.len())
         .expect("open log");
-    let swept = scenario.run_points::<EventDrivenCpPll, VoltsCodec, _>(
+    let swept = scenario.run_points::<CpPll, VoltsCodec, _>(
         &TONES,
         threads,
         true,

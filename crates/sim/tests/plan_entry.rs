@@ -1,29 +1,17 @@
-//! The one plan entry's boundary contracts: captures are keyed by grid
+//! The one plan entry's boundary contract: captures are keyed by grid
 //! index, so a grid may repeat a frequency and a `FaultPlan` still faults
-//! exactly the listed points; and a plan whose engine cannot run its
-//! configuration is refused with a typed error before anything settles
-//! or touches the disk.
+//! exactly the listed points.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pllbist_sim::bench_measure::{run_sweep, BenchSettings};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::{
-    run_plan, CampaignError, CampaignPlan, ClosedFormPll, CpPll, EventDrivenCpPll, FaultPlan,
-    IncidentAction, NullCodec, OutOfClass, PllEngine, Scheduler, Supervised, SupervisorPolicy,
+    run_plan, CampaignPlan, ClosedFormPll, FaultPlan, IncidentAction, NullCodec, PllEngine,
+    Scheduler, Supervised, SupervisorPolicy,
 };
 
 /// Indices 1 and 2 hold the same frequency.
 const GRID: [f64; 5] = [2.0, 5.0, 5.0, 9.0, 14.0];
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pllbist_plan_entry_it");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 fn per_index() -> Vec<AtomicUsize> {
     GRID.iter().map(|_| AtomicUsize::new(0)).collect()
@@ -109,49 +97,4 @@ fn captures_see_every_index_once_and_faults_land_on_their_index() {
             );
         }
     }
-}
-
-#[test]
-fn out_of_class_plan_is_refused_before_any_settle_or_file() {
-    let mut curved = PllConfig::paper_table3();
-    curved.vco_curvature = (20.0, 0.0);
-    assert_eq!(
-        EventDrivenCpPll::check_class(&curved),
-        Err(OutOfClass::VcoCurvature)
-    );
-    assert_eq!(CpPll::check_class(&curved), Ok(()));
-
-    let results = tmp("out_of_class.jsonl");
-    let plan = CampaignPlan::new(curved.clone())
-        .engine::<EventDrivenCpPll>()
-        .supervised(SupervisorPolicy::default())
-        .resume_from(&results);
-    let err = run_plan(
-        &plan,
-        &GRID,
-        NullCodec::<f64>::new(),
-        "plan-entry",
-        |_, _, _, _| -> Result<f64, _> { panic!("an out-of-class plan must run no point") },
-    )
-    .expect_err("out-of-class plan");
-    assert!(
-        matches!(err, CampaignError::OutOfClass(OutOfClass::VcoCurvature)),
-        "{err}"
-    );
-    assert!(!results.exists(), "no results file for a refused plan");
-    assert!(
-        !results.with_extension("ckpt").exists(),
-        "no sidecar either"
-    );
-
-    // The bench sweep enters through the same door.
-    let bench = run_sweep(
-        &CampaignPlan::new(curved).engine::<EventDrivenCpPll>(),
-        &[2.0],
-        &BenchSettings::default(),
-    );
-    assert!(matches!(
-        bench,
-        Err(CampaignError::OutOfClass(OutOfClass::VcoCurvature))
-    ));
 }

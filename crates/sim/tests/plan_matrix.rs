@@ -10,8 +10,8 @@ use std::sync::Arc;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::{
-    run_plan, CampaignError, CampaignPlan, ClosedFormPll, EventDrivenCpPll, NullCodec, PllEngine,
-    Scheduler, SupervisorPolicy,
+    run_plan, CampaignError, CampaignPlan, ClosedFormPll, CpPll, NullCodec, PllEngine, Scheduler,
+    SupervisorPolicy,
 };
 use pllbist_testkit::{prop_assert_eq, prop_check};
 
@@ -46,11 +46,10 @@ fn every_plan_combination_matches_the_serial_unsupervised_baseline() {
     let serial = |plan: CampaignPlan| plan.lock_settle(0.1).scheduler(Scheduler::Serial);
     let closed_baseline =
         sweep_bits(&serial(CampaignPlan::new(cfg.clone())).engine::<ClosedFormPll>());
-    let event_baseline =
-        sweep_bits(&serial(CampaignPlan::new(cfg.clone())).engine::<EventDrivenCpPll>());
+    let cp_baseline = sweep_bits(&serial(CampaignPlan::new(cfg.clone())).engine::<CpPll>());
 
     prop_check!(cases: 24, |g| {
-        let event_engine = g.bool();
+        let behavioural = g.bool();
         let checkpoint = g.bool();
         let supervised = g.bool();
         let observed = g.bool();
@@ -77,10 +76,10 @@ fn every_plan_combination_matches_the_serial_unsupervised_baseline() {
         let label = format!(
             "engine {} checkpoint {checkpoint} supervised {supervised} \
              observed {observed} threads {threads}",
-            if event_engine { "event" } else { "closed_form" },
+            if behavioural { "cp_pll" } else { "closed_form" },
         );
-        let (bits, want) = if event_engine {
-            (sweep_bits(&plan.engine::<EventDrivenCpPll>()), &event_baseline)
+        let (bits, want) = if behavioural {
+            (sweep_bits(&plan.engine::<CpPll>()), &cp_baseline)
         } else {
             (sweep_bits(&plan.engine::<ClosedFormPll>()), &closed_baseline)
         };
@@ -94,20 +93,20 @@ fn plan_header_round_trips_and_rejects_backend_mismatch() {
     let cfg = PllConfig::paper_table3();
     let tones = [1.0, 4.0, 16.0];
     let plan = CampaignPlan::new(cfg.clone())
-        .engine::<EventDrivenCpPll>()
+        .engine::<CpPll>()
         .lock_settle(0.25)
         .checkpoint(false)
         .supervised(SupervisorPolicy::default());
     let line = plan.header_line(&tones, "matrix");
 
     // Round trip: same digest, byte-identical re-serialisation.
-    let back = CampaignPlan::<EventDrivenCpPll>::from_header(&line, cfg.clone(), &tones, "matrix")
+    let back = CampaignPlan::<CpPll>::from_header(&line, cfg.clone(), &tones, "matrix")
         .expect("own backend round-trips");
     assert_eq!(back.digest(&tones, "matrix"), plan.digest(&tones, "matrix"));
     assert_eq!(back.header_line(&tones, "matrix"), line);
 
     // A header written by a different backend must be refused: loading
-    // event-driven results into a closed-form campaign would silently
+    // behavioural results into a closed-form campaign would silently
     // mix physics.
     let err = CampaignPlan::<ClosedFormPll>::from_header(&line, cfg, &tones, "matrix")
         .expect_err("backend mismatch must be rejected");

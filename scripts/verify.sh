@@ -275,19 +275,6 @@ PLLBIST_ABL13_POINTS=8 cargo run --release --offline -p pllbist-bench \
 head -1 "$abl13_out" | grep -q '"type":"run"' \
   || { echo "abl13 smoke: missing JSONL run header"; exit 1; }
 
-echo "==> abl14 event-driven-speedup smoke (offline, JSONL sink)"
-# One rep through both engine backends: the bin itself asserts the two
-# land on the same Bode points and that the event-driven engine clears
-# its ≥1.5× median-speedup floor over the micro-stepped engine (both
-# share one Newton edge solver and, on this lossless loop, commit the
-# same segments, so the floor measures the cost of one segment alone;
-# ~1.4× measured since `CpPll` takes held intervals whole).
-abl14_out="target/abl14-smoke.jsonl"
-PLLBIST_ABL14_REPS=1 cargo run --release --offline -p pllbist-bench \
-  --bin abl14_event_driven_speedup -- --jsonl "$abl14_out"
-head -1 "$abl14_out" | grep -q '"type":"run"' \
-  || { echo "abl14 smoke: missing JSONL run header"; exit 1; }
-
 echo "==> abl15 crash-only-service smoke (offline, JSONL sink)"
 # The campaign service under deterministic fire: crashes at chosen
 # durable steps (kills, a torn results line, a torn journal append),

@@ -7,8 +7,6 @@ use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::bench_measure::{measure_point, BenchSettings};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::cosim::MixedSignalPll;
-use pllbist_sim::engine::ClosedFormPll;
-use pllbist_sim::event_driven::EventDrivenCpPll;
 use pllbist_sim::{CampaignPlan, Scheduler};
 use std::f64::consts::TAU;
 
@@ -73,103 +71,6 @@ fn bist_monitor_agrees_across_backends() {
             pb.omega,
             pb.phase.to_degrees(),
             pg.phase.to_degrees()
-        );
-    }
-}
-
-#[test]
-fn bist_monitor_agrees_on_the_event_driven_backend() {
-    // The same Table 2 sequence on the per-event closed-form engine must
-    // land on the same Bode curve as the micro-stepped engine — the
-    // event engine is a faster path through identical physics, not a
-    // different model. The two simulation backends share every quantised
-    // readout (counters, peak detector, hold), so the monitor curves
-    // agree far tighter than either agrees with the gate-level backend
-    // in `bist_monitor_agrees_across_backends`.
-    let cfg = PllConfig::paper_table3();
-    let settings = MonitorSettings {
-        mod_frequencies_hz: vec![2.0, 8.0, 20.0],
-        settle_periods: 3.0,
-        loop_settle_secs: 0.3,
-        capture_transcript: false,
-        ..MonitorSettings::fast()
-    };
-    let monitor = TransferFunctionMonitor::new(settings);
-    let serial = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
-    let ev = monitor
-        .measure(&serial.clone().engine::<EventDrivenCpPll>())
-        .expect_healthy();
-    let beh = monitor.measure(&serial).expect_healthy();
-    let closed = monitor
-        .measure(&serial.clone().engine::<ClosedFormPll>())
-        .expect_healthy();
-
-    assert!(
-        (ev.nominal.frequency_hz - beh.nominal.frequency_hz).abs() < 5.0,
-        "nominal: event {} vs behavioral {}",
-        ev.nominal.frequency_hz,
-        beh.nominal.frequency_hz
-    );
-    // The closed-form adapter synthesises its edges from the analytic
-    // steady state, so nominal-frequency readouts still line up.
-    assert!(
-        (ev.nominal.frequency_hz - closed.nominal.frequency_hz).abs() < 5.0,
-        "nominal: event {} vs closed form {}",
-        ev.nominal.frequency_hz,
-        closed.nominal.frequency_hz
-    );
-    let eb = ev.to_bode();
-    let bb = beh.to_bode();
-    for (pe, pb) in eb.points().iter().zip(bb.points()) {
-        assert!(
-            (pe.magnitude - pb.magnitude).abs() / pe.magnitude.max(1e-9) < 0.05,
-            "ω = {}: |H| event {} vs behavioral {}",
-            pe.omega,
-            pe.magnitude,
-            pb.magnitude
-        );
-        assert!(
-            (pe.phase - pb.phase).abs() < 5f64.to_radians(),
-            "ω = {}: phase event {}° vs behavioral {}°",
-            pe.omega,
-            pe.phase.to_degrees(),
-            pb.phase.to_degrees()
-        );
-    }
-}
-
-#[test]
-fn event_driven_bench_matches_the_closed_form_model() {
-    // Agreement with the closed form where it is actually comparable:
-    // the fig. 3 bench measurement (sine fit on the analogue node) reads
-    // the *full* feedback response, exactly the curve the `ClosedFormPll`
-    // adapter plays back analytically. The event-driven backend must fit
-    // that model as tightly as the behavioural engine does in
-    // `bench_baseline_matches_full_linear_model`.
-    use pllbist_sim::bench_measure::measure_point_with_stats;
-    use pllbist_sim::event_driven::EventDrivenCpPll;
-    let cfg = PllConfig::paper_table3();
-    let h = cfg.analysis().feedback_transfer();
-    let settings = BenchSettings {
-        settle_periods: 3.0,
-        measure_periods: 3.0,
-        ..BenchSettings::default()
-    };
-    for fm in [2.0, 8.0, 20.0] {
-        let (p, _stats) =
-            measure_point_with_stats::<EventDrivenCpPll>(&cfg, fm, &settings).expect("bench point");
-        let want = h.eval_jw(TAU * fm);
-        assert!(
-            (p.gain - want.abs()).abs() / want.abs() < 0.1,
-            "f = {fm}: event bench {}, closed form {}",
-            p.gain,
-            want.abs()
-        );
-        assert!(
-            (p.phase - want.arg()).abs() < 0.2,
-            "f = {fm}: event bench phase {}, closed form {}",
-            p.phase,
-            want.arg()
         );
     }
 }

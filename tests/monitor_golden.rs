@@ -51,7 +51,7 @@ use pllbist::monitor::{
     MonitorPoint, MonitorSettings, SupervisedMonitorResult, TransferFunctionMonitor,
 };
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::{CampaignPlan, CpPll, EventDrivenCpPll, PllEngine, Scheduler, SupervisorPolicy};
+use pllbist_sim::{CampaignPlan, CpPll, PllEngine, Scheduler, SupervisorPolicy};
 use pllbist_telemetry::TelemetryConfig;
 
 fn monitor() -> TransferFunctionMonitor {
@@ -146,10 +146,10 @@ fn device_walk_bits_are_pinned() {
 
 #[test]
 fn event_driven_plan_bits_are_pinned() {
-    let plan = work_stealing_plan::<EventDrivenCpPll>(PllConfig::paper_table3());
+    let plan = work_stealing_plan::<CpPll>(PllConfig::paper_table3());
     let got = plan_lines(&monitor().measure(&plan));
     check(
-        "work-stealing plan / EventDrivenCpPll",
+        "work-stealing plan / CpPll",
         &got,
         &[
             "nominal 40b3884000d1b9c7 19999 100 3fd00068dd8f1aa3",
@@ -199,14 +199,9 @@ fn table2_estimate_bits_are_pinned() {
     curved.vco_curvature = (20.0, 0.0);
     let got = [
         ("CpPll", paper_estimate::<CpPll>(PllConfig::paper_table3())),
-        (
-            "EventDrivenCpPll",
-            paper_estimate::<EventDrivenCpPll>(PllConfig::paper_table3()),
-        ),
         ("curved-VCO CpPll", paper_estimate::<CpPll>(curved)),
     ];
     let want = [
-        (7.844178958503639, 0.46665826665108096),
         (7.844178958503639, 0.46665826665108096),
         (7.85471628495365, 0.4665476189207242),
     ];

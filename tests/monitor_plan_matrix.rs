@@ -1,7 +1,7 @@
 //! The Table 2 monitor's plan matrix, as a seeded property: every
-//! combination of engine, checkpointing, supervision, observation and
-//! thread count must reproduce the serial unsupervised plan for its
-//! engine bit for bit — nominal reading, every point and the full
+//! combination of integration formula, checkpointing, supervision,
+//! observation and thread count must reproduce the serial unsupervised
+//! plan for its formula bit for bit — nominal reading, every point and the full
 //! transcript. The monitor measures its tones on the shared campaign
 //! runner, so a serial plan runs the same per-tone schedule as a
 //! work-stealing one.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use pllbist::monitor::{MonitorSettings, SupervisedMonitorResult, TransferFunctionMonitor};
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
-use pllbist_sim::{CampaignPlan, CpPll, EventDrivenCpPll, PllEngine, Scheduler, SupervisorPolicy};
+use pllbist_sim::{CampaignPlan, Scheduler, SupervisorPolicy};
 use pllbist_testkit::{prop_assert, prop_assert_eq, prop_check};
 
 const TONES: [f64; 3] = [1.0, 8.0, 25.0];
@@ -57,22 +57,27 @@ fn result_bits(result: &SupervisedMonitorResult) -> Vec<u64> {
     bits
 }
 
-fn serial_baseline<E: PllEngine>(cfg: &PllConfig) -> Vec<u64> {
-    let plan = CampaignPlan::new(cfg.clone())
-        .engine::<E>()
-        .scheduler(Scheduler::Serial);
+fn serial_baseline(cfg: &PllConfig) -> Vec<u64> {
+    let plan = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
     result_bits(&monitor().measure(&plan))
 }
 
 #[test]
 fn every_monitor_plan_matches_the_serial_unsupervised_baseline() {
-    let cfg = PllConfig::paper_table3();
-    let cp_baseline = serial_baseline::<CpPll>(&cfg);
-    let event_baseline = serial_baseline::<EventDrivenCpPll>(&cfg);
-    assert_eq!(cp_baseline.len(), 2 + 9 * TONES.len() + 3 * 5 * TONES.len());
+    // The closed-form kernel, and the micro-step formula that a
+    // negligible VCO curvature selects.
+    let kernel = PllConfig::paper_table3();
+    let mut micro_step = kernel.clone();
+    micro_step.vco_curvature = (1e-9, 0.0);
+    let kernel_baseline = serial_baseline(&kernel);
+    let micro_step_baseline = serial_baseline(&micro_step);
+    assert_eq!(
+        kernel_baseline.len(),
+        2 + 9 * TONES.len() + 3 * 5 * TONES.len()
+    );
 
     prop_check!(cases: 32, |g| {
-        let event_engine = g.bool();
+        let on_micro_steps = g.bool();
         let checkpoint = g.bool();
         let supervised = g.bool();
         let observed = g.bool();
@@ -81,6 +86,11 @@ fn every_monitor_plan_matches_the_serial_unsupervised_baseline() {
             Scheduler::Serial
         } else {
             Scheduler::WorkStealing { threads }
+        };
+        let (cfg, want) = if on_micro_steps {
+            (&micro_step, &micro_step_baseline)
+        } else {
+            (&kernel, &kernel_baseline)
         };
         let mut plan = CampaignPlan::new(cfg.clone())
             .checkpoint(checkpoint)
@@ -99,18 +109,10 @@ fn every_monitor_plan_matches_the_serial_unsupervised_baseline() {
             plan = plan.observed(Arc::clone(observer));
         }
         let label = format!(
-            "engine {} checkpoint {checkpoint} supervised {supervised} \
-             observed {observed} threads {threads}",
-            if event_engine { "event" } else { "cp_pll" },
+            "micro-steps {on_micro_steps} checkpoint {checkpoint} \
+             supervised {supervised} observed {observed} threads {threads}",
         );
-        let (bits, want) = if event_engine {
-            (
-                result_bits(&monitor().measure(&plan.engine::<EventDrivenCpPll>())),
-                &event_baseline,
-            )
-        } else {
-            (result_bits(&monitor().measure(&plan)), &cp_baseline)
-        };
+        let bits = result_bits(&monitor().measure(&plan));
         prop_assert_eq!(&bits, want, "{}", label);
         if let Some(observer) = &observer {
             let progress = observer.snapshot();
