@@ -1,9 +1,10 @@
-//! Cross-commit bit-identity pin for the two loop engines.
+//! Cross-commit bit-identity pin for the behavioural loop engine.
 //!
 //! The byte-identity suites elsewhere compare runs *within* one build, so
 //! a refactor that shifts every result by one ulp passes them all. This
 //! file pins the bits themselves: a fixed script (lock, sine FM, hold on,
-//! hold off) runs on `CpPll` and `EventDrivenCpPll` over three configs,
+//! hold off) runs on `CpPll` (and, until the merge below, on the
+//! event-driven engine) over three configs,
 //! and the final sidecar checkpoint token and VCO phase bit pattern must
 //! equal hex strings captured from the engines before the loop-shell
 //! refactor. Update the strings only for a change that is *meant* to
@@ -51,6 +52,23 @@
 //! segments. Every reference, feedback and rejection count is unchanged.
 //! The event-driven table is untouched: `EventStep` keeps its two-period
 //! cap under every drive.
+//!
+//! The event-driven engine was then folded into `CpPll`: `MicroStep`
+//! takes the closed-form affine segment under every drive with a scalar
+//! filter reduction and a linear VCO, which covers all three configs. The
+//! event-driven table carried over bit for bit, run on `CpPll`; only its
+//! checkpoint tokens' prefix changed, from `ev:` to `cp:`. The `CpPll`
+//! table was re-pinned onto it, and both tests now check the one table
+//! (`PINS`). Against the old `CpPll` pins, the segment formula moved
+//! from `filter.step` plus the trapezoid to the exact state and phase
+//! integral, and the edge solve's seed gained the frequency's
+//! derivatives: the filter state moved by 56 to 76,865 ulps, the PFD's
+//! armed time by up to 78,450 ulps and the VCO phase by up to 96,253 ulps
+//! (2e-8 cycles of about 2000). The exact phase puts more feedback edges
+//! at the very time of their reference edge, so fewer need a segment of
+//! their own: 800 → 794 committed steps on `paper_table3`, 797 → 793 on
+//! `integer_n_charge_pump`, 960 on the dead-zone config. Every reference,
+//! feedback and rejection count is unchanged.
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::stimulus::FmStimulus;
@@ -108,30 +126,9 @@ fn check<E: PllEngine>(golden: &[(&str, &str, &str)]) {
     );
 }
 
-#[test]
-fn cp_pll_bits_are_pinned() {
-    check::<CpPll>(&[
-        (
-            "paper_table3",
-            "cp:3fd999999999999a|4003fd5fe19a1ca9|0;3fd9984546b4cada;0000000000000000;0;d,3fd9984546b4cada,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab57b767|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|800,400,400,400,1",
-            "409f418dab57b767",
-        ),
-        (
-            "integer_n_charge_pump",
-            "cp:3fa47ae147ae147b|4002e8f12466be80|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf4,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|797,398,400,398,1",
-            "40a8effc5e292687",
-        ),
-        (
-            "paper_table3_dead_zone",
-            "cp:3fd999999999999a|4003fe1d9aab0f5b|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b4672816f1,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca3fb5c1|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
-            "409f3f63ca3fb5c1",
-        ),
-    ]);
-}
-
-#[test]
-fn event_driven_bits_are_pinned() {
-    check::<CpPll>(&[
+/// The one engine's bits on the three configs: the event-driven table,
+/// carried over bit for bit.
+const PINS: [(&str, &str, &str); 3] = [
         (
             "paper_table3",
             "cp:3fd999999999999a|4003fd5fe199e72f|0;3fd9984546b4ebc6;0000000000000000;0;d,3fd9984546b4ebc6,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab578468|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|794,400,400,400,1",
@@ -147,5 +144,15 @@ fn event_driven_bits_are_pinned() {
             "cp:3fd999999999999a|4003fe1d9aac3b9c|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b46726e47f,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca412dbe|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
             "409f3f63ca412dbe",
         ),
-    ]);
+    ];
+
+#[test]
+fn cp_pll_bits_are_pinned() {
+    check::<CpPll>(&PINS);
+}
+
+/// The event-driven engine's pins, now `CpPll`'s closed-form segments.
+#[test]
+fn event_driven_bits_are_pinned() {
+    check::<CpPll>(&PINS);
 }

@@ -7,8 +7,10 @@
 //!
 //! * `measure_device` — the one-engine continuous walk (`abl07`,
 //!   `tab02`) — on a `CpPll`;
-//! * a supervised two-thread work-stealing plan on `EventDrivenCpPll`
-//!   (`bist_table2`'s straight-VCO devices);
+//! * a supervised two-thread work-stealing plan on `CpPll`, which runs
+//!   closed-form segments on this straight-VCO config (`bist_table2`'s
+//!   straight-VCO devices; the event-driven engine's run until it was
+//!   folded into `CpPll`);
 //! * the same plan on `CpPll` with a curved VCO (`bist_table2`'s
 //!   curved devices).
 //!
@@ -16,7 +18,7 @@
 //! counter counts, and the incident count. A fourth test pins the
 //! paper's Table 2 (fn, ζ) estimate itself: the `MonitorSettings::paper()`
 //! plan on `paper_table3`, supervised on two work-stealing threads, on
-//! both engines and on `CpPll` with a curved VCO. Transcript times are not
+//! `CpPll` with a straight and with a curved VCO. Transcript times are not
 //! pinned: they record *when* each stage ran, not what it measured.
 //! Update the strings only for a change that is meant to move the
 //! monitor's bits, and say so in the change description.
@@ -45,6 +47,19 @@
 //! Every tone reading, phase reading, pulse count and peak time kept its
 //! bits, and the Table 2 (fn, ζ) pin below did not move. The event-driven
 //! run is untouched.
+//!
+//! The event-driven engine was then folded into `CpPll`, whose `MicroStep`
+//! takes the closed-form affine segment wherever the filter has a scalar
+//! reduction and the VCO is linear. The event-driven plan run kept every
+//! bit on `CpPll`, and so did the curved-VCO run (no kernel applies
+//! there) and both Table 2 estimates; the estimate test's second
+//! straight-VCO row, a run of the same engine on the same plan, went.
+//! The device walk is re-pinned: the exact segments move time and phase
+//! by ulps, the held nominal reading's knife edge flips back to 19999
+//! counts (5000.25 Hz, the event engine's reading), and every Δf moves
+//! by the same 0.25 Hz with it. Two output peak times move, by 1 and 334
+//! ulps (3e-13 s); every tone reading, phase reading and pulse count
+//! kept its bits.
 
 use pllbist::counter::FrequencyReading;
 use pllbist::monitor::{
@@ -136,10 +151,10 @@ fn device_walk_bits_are_pinned() {
         "measure_device / CpPll",
         &got,
         &[
-            "nominal 40b3880000000000 20000 100 3fd0000000000000",
-            "3ff0000000000000 40b3bc09355cc86a 19794 100 404a049aae643500 c02363bcd35a8588 26930 3f3797cc39ffd60f 400a000000000000 400a37277070453f true",
-            "4020000000000000 40b3c2efc5c5d9be 19767 100 404d77e2e2ecdf00 c05757d6b65a9a81 32421 3f6797cc39ffd60f 400f400000000000 400f8266003649f8 true",
-            "4039000000000000 40b38d818cedeea0 19978 100 40160633b7ba8000 c0650ac083126e97 18704 3f826e978d4fdf3b 401151eb851eb852 40116512d56e0c61 true",
+            "nominal 40b3884000d1b9c7 19999 100 3fd00068dd8f1aa3",
+            "3ff0000000000000 40b3bc09355cc86a 19794 100 4049e49a45875180 c02363bcd35a8588 26930 3f3797cc39ffd60f 400a000000000000 400a37277070453f true",
+            "4020000000000000 40b3c2efc5c5d9be 19767 100 404d57e27a0ffb80 c05757d6b65a9a81 32421 3f6797cc39ffd60f 400f400000000000 400f8266003649f9 true",
+            "4039000000000000 40b38d818cedeea0 19978 100 4015063070d36400 c0650ac083126e97 18704 3f826e978d4fdf3b 401151eb851eb852 40116512d56e0daf true",
         ],
     );
 }
