@@ -660,6 +660,11 @@ impl<I: Integrator> LoopShell<I> {
 
     /// The PFD drive active *now*: hold and an unexpired dead zone both
     /// present the Off drive.
+    ///
+    /// The dead zone expires at `armed + dead_zone`, the very bits the
+    /// event loop bounds a segment at: a segment that ends there turns
+    /// the drive on. (`t − armed < dead_zone` can still hold there by
+    /// rounding, which left the pulse undriven until the next edge.)
     fn active_drive(&self) -> PfdOutput {
         if self.st.hold {
             return PfdOutput::Off;
@@ -667,7 +672,7 @@ impl<I: Integrator> LoopShell<I> {
         let state = self.st.pfd.output();
         if state != PfdOutput::Off && self.st.pfd.dead_zone() > 0.0 {
             if let Some(armed) = self.st.pfd.armed_since() {
-                if self.st.t - armed < self.st.pfd.dead_zone() {
+                if self.st.t < armed + self.st.pfd.dead_zone() {
                     return PfdOutput::Off;
                 }
             }

@@ -69,6 +69,16 @@
 //! their own: 800 → 794 committed steps on `paper_table3`, 797 → 793 on
 //! `integer_n_charge_pump`, 960 on the dead-zone config. Every reference,
 //! feedback and rejection count is unchanged.
+//!
+//! The dead-zone row was re-pinned once more when the shell stopped
+//! leaving a PFD pulse undriven at its dead-zone expiry. The expiry
+//! bounds a segment at `armed + dead_zone`, but the drive was switched
+//! on by `t − armed ≥ dead_zone`, which rounding can still deny at that
+//! very time; the pulse then stayed undriven until the next edge. The
+//! old row had lost a feedback edge to it (399 feedback edges against
+//! 400 reference edges, a cycle slip in a locked loop). Now it counts 400
+//! of each, 961 steps and one more dead-zone glitch (182), and ends with
+//! the PFD idle instead of armed Up.
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::stimulus::FmStimulus;
@@ -141,8 +151,8 @@ const PINS: [(&str, &str, &str); 3] = [
         ),
         (
             "paper_table3_dead_zone",
-            "cp:3fd999999999999a|4003fe1d9aac3b9c|1;3fd999999999999a;3f04f8b588e368f1;181;u,3fd98934a92a69ec,3fd989b46726e47f,0|408f400000000000;4034000000000000;sine:4024000000000000|409f3f63ca412dbe|399|409f400000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|960,399,400,399,1",
-            "409f3f63ca412dbe",
+            "cp:3fd999999999999a|4003fef899611b06|0;3fd998228a36ce26;3f04f8b588e368f1;182;d,3fd998228a36ce26,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f41bf19d9d51f|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|961,400,400,400,1",
+            "409f41bf19d9d51f",
         ),
     ];
 
