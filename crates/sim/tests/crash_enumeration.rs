@@ -3,11 +3,13 @@
 //! The method of Pillai et al., "All File Systems Are Not Created Equal"
 //! (OSDI 2014): count the durable steps an attempt takes, crash at each
 //! one, and at each byte of a torn write, then let the service recover.
-//! A 3-point closed-form job with one retried point is run once without a
-//! crash fault to count its steps and take its reference bytes. Then it
-//! is run once per crash point, and each run must end with:
+//! A 3-point job with one retried point is run once without a crash
+//! fault to count its steps and take its reference bytes, on two
+//! backends: the closed-form engine, which stores no lock sidecar, and
+//! `CpPll`, which does. Then it is run once per crash point, and each run
+//! must end with:
 //!
-//! 1. a results file byte-identical to the reference;
+//! 1. a results file and a sidecar byte-identical to the reference;
 //! 2. a journal that reads `done` exactly once;
 //! 3. `/progress` counting the job once;
 //! 4. no point recaptured whose line was complete on disk before the
@@ -21,7 +23,9 @@ use pllbist_sim::durable::{self, CrashFault};
 use pllbist_sim::error::quiet_contained_panics;
 use pllbist_sim::plan::Scheduler;
 use pllbist_sim::service::{submission_body, CampaignService, FaultPlan, ServiceConfig};
-use pllbist_sim::{http_get, http_post, CampaignPlan, ClosedFormPll, SupervisorPolicy};
+use pllbist_sim::{
+    http_get, http_post, CampaignPlan, ClosedFormPll, CpPll, PllEngine, SupervisorPolicy,
+};
 use pllbist_telemetry::json::json_str_field;
 
 const GRID: [f64; 3] = [2.0, 5.0, 11.0];
@@ -29,13 +33,14 @@ const SALT: &str = "crash-enumeration";
 /// Steps outside the attempt's crash window: the submission, the
 /// `queued` append and the `done` append.
 const STEPS_OUTSIDE_ATTEMPT: usize = 3;
-/// The attempt's first results-line step: after the `running` append
-/// and the results header (the closed-form engine stores no sidecar).
-const FIRST_LINE_STEP: usize = 2;
+/// The attempt's step after the `running` append and the results
+/// header: the sidecar store where the engine persists one, else the
+/// first results line.
+const AFTER_HEADER_STEP: usize = 2;
 
-fn plan() -> CampaignPlan<ClosedFormPll> {
+fn plan<E: PllEngine>() -> CampaignPlan<E> {
     CampaignPlan::new(PllConfig::paper_table3())
-        .engine::<ClosedFormPll>()
+        .engine::<E>()
         .lock_settle(0.05)
         .supervised(SupervisorPolicy::default())
         .scheduler(Scheduler::WorkStealing { threads: 2 })
@@ -52,24 +57,26 @@ fn faults(crash: Option<CrashFault>) -> FaultPlan {
 /// What one run of the job left behind.
 struct Run {
     results: Vec<u8>,
+    /// The lock sidecar, when the engine stored one.
+    sidecar: Option<Vec<u8>>,
     journal: String,
     progress: String,
     /// Durable steps under the job directory, when counted.
     steps: Option<usize>,
 }
 
-fn job_dir(root: &Path) -> PathBuf {
-    root.join(format!("job-{}", plan().digest(&GRID, SALT)))
+fn job_dir<E: PllEngine>(root: &Path) -> PathBuf {
+    root.join(format!("job-{}", plan::<E>().digest(&GRID, SALT)))
 }
 
-/// Runs the job on a fresh service root with at most one crash fault
-/// and waits for it to finish. `count` arms a fault that never fires,
-/// only to count the steps.
-fn run(crash: Option<CrashFault>, count: bool) -> Run {
+/// Runs the job on `E` on a fresh service root with at most one crash
+/// fault and waits for it to finish. `count` arms a fault that never
+/// fires, only to count the steps.
+fn run<E: PllEngine>(crash: Option<CrashFault>, count: bool) -> Run {
     let root =
         std::env::temp_dir().join(format!("pllbist_crash_enumeration_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let dir = job_dir(&root);
+    let dir = job_dir::<E>(&root);
     let counter = count.then(|| {
         durable::arm(
             &dir,
@@ -81,11 +88,11 @@ fn run(crash: Option<CrashFault>, count: bool) -> Run {
     });
     let service = CampaignService::start(ServiceConfig::rooted(&root)).expect("start");
     let addr = service.addr();
-    let job = plan().digest(&GRID, SALT);
+    let job = plan::<E>().digest(&GRID, SALT);
     http_post(
         addr,
         "/jobs",
-        &submission_body(&plan(), &GRID, SALT, &faults(crash)),
+        &submission_body(&plan::<E>(), &GRID, SALT, &faults(crash)),
     )
     .expect("submit");
     let started = Instant::now();
@@ -106,6 +113,7 @@ fn run(crash: Option<CrashFault>, count: bool) -> Run {
     service.shutdown();
     let out = Run {
         results: std::fs::read(dir.join("campaign.jsonl")).expect("results"),
+        sidecar: std::fs::read(dir.join("campaign.ckpt")).ok(),
         journal: std::fs::read_to_string(dir.join("job.jsonl")).expect("journal"),
         progress,
         steps: counter.map(|c| c.steps()),
@@ -131,13 +139,26 @@ fn done_field(journal: &str, key: &str) -> usize {
 fn every_crash_point_of_an_attempt_recovers_byte_identical() {
     // Injected kills unwind by design; keep only other panics' reports.
     quiet_contained_panics();
+    assert_eq!(enumerate::<ClosedFormPll>(), 0, "no sidecar");
+    assert!(enumerate::<CpPll>() > 0, "a sidecar, crashed at every byte");
+}
 
-    let reference = run(None, true);
+/// Crashes the job on `E` at every durable step of an attempt, and at
+/// every byte of results line 1, of the `running` append and of the
+/// sidecar write. Returns the sidecar's length, 0 without one.
+fn enumerate<E: PllEngine>() -> usize {
+    let backend = E::backend_name();
+    let reference = run::<E>(None, true);
+    // The sidecar store, when there is one, sits between the results
+    // header and the first line: the lock settles before any point.
+    let sidecar_len = reference.sidecar.as_ref().map_or(0, Vec::len);
+    let first_line_step = AFTER_HEADER_STEP + usize::from(sidecar_len > 0);
     let steps = reference.steps.expect("counted") - STEPS_OUTSIDE_ATTEMPT;
     assert_eq!(
         steps,
-        FIRST_LINE_STEP + GRID.len() + 1,
-        "running append, results header, one step per line, final fsync"
+        first_line_step + GRID.len() + 1,
+        "{backend}: running append, results header, sidecar store if any, \
+         one step per line, final fsync"
     );
     assert_eq!(done_field(&reference.journal, "skipped"), 0);
     // Newline-terminated lengths of the results lines and of attempt 0's
@@ -157,20 +178,26 @@ fn every_crash_point_of_an_attempt_recovers_byte_identical() {
         .len()
         + 1;
 
-    // Every step with b = 0, then every byte of results line 1 and of
-    // the `running` append (b = length: the whole write landed, unsynced).
+    // Every step with b = 0, then every byte of results line 1, of the
+    // `running` append and of the sidecar write (b = length: the whole
+    // write landed, unsynced).
     let line = 1;
     let cases = (0..steps)
         .map(|step| (step, 0))
-        .chain((1..=line_len[line]).map(|b| (FIRST_LINE_STEP + line, b)))
-        .chain((1..=running_len).map(|b| (0, b)));
+        .chain((1..=line_len[line]).map(|b| (first_line_step + line, b)))
+        .chain((1..=running_len).map(|b| (0, b)))
+        .chain((1..=sidecar_len).map(|b| (AFTER_HEADER_STEP, b)));
     let mut runs = 0;
     for (step, bytes) in cases {
         let crash = CrashFault { step, bytes };
-        let got = run(Some(crash), false);
+        let got = run::<E>(Some(crash), false);
         assert!(
             got.results == reference.results,
-            "{crash:?}: results differ from the reference"
+            "{backend} {crash:?}: results differ from the reference"
+        );
+        assert!(
+            got.sidecar == reference.sidecar,
+            "{backend} {crash:?}: sidecar differs from the reference"
         );
         let count = |state: &str| {
             got.journal
@@ -178,15 +205,20 @@ fn every_crash_point_of_an_attempt_recovers_byte_identical() {
                 .filter(|l| l.contains(&format!("\"state\":\"{state}\"")))
                 .count()
         };
-        assert_eq!(count("done"), 1, "{crash:?}:\n{}", got.journal);
-        assert_eq!(count("interrupted"), 1, "{crash:?}:\n{}", got.journal);
+        assert_eq!(count("done"), 1, "{backend} {crash:?}:\n{}", got.journal);
+        assert_eq!(
+            count("interrupted"),
+            1,
+            "{backend} {crash:?}:\n{}",
+            got.journal
+        );
         assert!(
             got.progress.contains("\"done\":1") && got.progress.contains("\"failed\":0"),
-            "{crash:?}: {}",
+            "{backend} {crash:?}: {}",
             got.progress
         );
         // Lines complete on disk when the crash fired.
-        let complete = match step.checked_sub(FIRST_LINE_STEP) {
+        let complete = match step.checked_sub(first_line_step) {
             None => 0,
             Some(i) if i < GRID.len() => i + usize::from(bytes >= line_len[i]),
             Some(_) => GRID.len(),
@@ -194,10 +226,11 @@ fn every_crash_point_of_an_attempt_recovers_byte_identical() {
         assert_eq!(
             done_field(&got.journal, "skipped"),
             complete,
-            "{crash:?}: a complete line was recaptured:\n{}",
+            "{backend} {crash:?}: a complete line was recaptured:\n{}",
             got.journal
         );
         runs += 1;
     }
-    assert_eq!(runs, steps + line_len[line] + running_len);
+    assert_eq!(runs, steps + line_len[line] + running_len + sidecar_len);
+    sidecar_len
 }
