@@ -346,7 +346,6 @@ impl LoopFilter for PassiveLag {
 pub struct SeriesRc {
     r: f64,
     c1: f64,
-    c2: Option<f64>,
     r_leak: Option<f64>,
     /// Exact stepper for the 2-state (C2 present) case.
     zoh: Option<CachedZoh>,
@@ -419,7 +418,6 @@ impl SeriesRc {
         Self {
             r,
             c1,
-            c2,
             r_leak,
             zoh,
             a,
@@ -432,11 +430,6 @@ impl SeriesRc {
     /// The stabilising zero time constant τ2 = R·C1.
     pub fn tau2(&self) -> f64 {
         self.r * self.c1
-    }
-
-    /// The ripple capacitor C2, if fitted.
-    pub fn ripple_cap(&self) -> Option<f64> {
-        self.c2
     }
 
     fn current(input: PumpOutput) -> f64 {

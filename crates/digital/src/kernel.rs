@@ -152,16 +152,6 @@ impl Circuit {
         self.now
     }
 
-    /// Number of nets.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
-    }
-
-    /// Number of gate instances.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     fn add_net(&mut self, name: &str, value: Logic, driver: Option<GateId>) -> NetId {
         let id = NetId(self.nets.len() as u32);
         self.nets.push(Net {
@@ -465,11 +455,6 @@ impl Circuit {
         self.nets[net.index()].value
     }
 
-    /// Name of a net.
-    pub fn net_name(&self, net: NetId) -> &str {
-        &self.nets[net.index()].name
-    }
-
     /// Total rising edges observed on a net since construction.
     pub fn rising_edge_count(&self, net: NetId) -> u64 {
         self.nets[net.index()].rising_edges
@@ -500,11 +485,6 @@ impl Circuit {
     /// may be reported; they are harmless upper bounds).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Events dispatched by the kernel since construction — the

@@ -85,19 +85,6 @@ pub fn amplitude_spectrum(signal: &[f64], sample_rate_hz: f64) -> Vec<(f64, f64)
         .collect()
 }
 
-/// Applies a Hann window in place (for leakage control when tones are not
-/// bin-centred).
-pub fn hann_window(signal: &mut [f64]) {
-    let n = signal.len();
-    if n < 2 {
-        return;
-    }
-    for (i, x) in signal.iter_mut().enumerate() {
-        let w = 0.5 * (1.0 - (std::f64::consts::TAU * i as f64 / (n - 1) as f64).cos());
-        *x *= w;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,15 +163,6 @@ mod tests {
             .map(|(_, (_, a))| *a)
             .fold(0.0, f64::max);
         assert!(spur < 1e-9);
-    }
-
-    #[test]
-    fn hann_window_tapers_ends() {
-        let mut s = vec![1.0; 16];
-        hann_window(&mut s);
-        assert!(s[0].abs() < 1e-12);
-        assert!(s[15].abs() < 1e-12);
-        assert!(s[8] > 0.9);
     }
 
     #[test]

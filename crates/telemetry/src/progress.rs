@@ -100,10 +100,6 @@ impl ProgressBoard {
         self.done.load(Ordering::Relaxed)
     }
 
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Marks `worker` alive without changing any counters.
     pub fn heartbeat(&self, worker: usize) {
         if let Some(cell) = self.workers.get(worker) {
