@@ -50,10 +50,10 @@ if grep -rnE 'pub fn [a-z0-9_]*(_supervised|_resumed|_observed|_on)[[:space:]]*[
   exit 1
 fi
 
-# CpPll and EventDrivenCpPll are one LoopShell over two integrators.
-# This gate keeps the loop machinery in one place: a second copy of the
-# reference-edge scheduler, the feedback-edge handler or solver, or the
-# sampler means an engine forked the shell instead of adding an Integrator.
+# CpPll is one LoopShell over one Integrator. This gate keeps the loop
+# machinery in one place: a second copy of the reference-edge
+# scheduler, the feedback-edge handler or solver, or the sampler means
+# an engine forked the shell.
 echo "==> loop-shell gate (no second schedule_next_ref_edge / process_fb_edge / solve_crossing / Sampler)"
 for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'fn solve_crossing' 'struct Sampler'; do
   n=$({ grep -rnE "\\b${def}\\b" crates/sim/src || true; } | wc -l)
@@ -64,7 +64,34 @@ for def in 'fn schedule_next_ref_edge' 'fn process_fb_edge' 'fn solve_crossing' 
   fi
 done
 
-# All four engines find their output edges (feedback edges, VCO toggles)
+# CpPll's MicroStep is the one behavioural integrator: it takes the
+# closed-form segment wherever the filter and VCO allow and micro-steps
+# elsewhere, so every configuration is in its class. This gate keeps the
+# second integrator and its class machinery gone: an EventStep, an
+# OutOfClass, a check_class, an event_driven.rs or a second
+# `impl Integrator for` outside test modules (each file's lines from
+# its first column-0 #[cfg(test)] on) means a backend split off again.
+echo "==> one-integrator gate (no EventStep / OutOfClass / fn check_class / event_driven.rs; one impl Integrator)"
+non_test_lines() {
+  find crates/*/src -name '*.rs' -not -path '*/target/*' -print0 \
+    | xargs -0 awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live { print FILENAME ":" FNR ": " $0 }'
+}
+if find crates/*/src -name event_driven.rs -not -path '*/target/*' | grep .; then
+  echo "one-integrator gate: event_driven.rs is back — take closed-form segments in MicroStep"
+  exit 1
+fi
+if non_test_lines | grep -E '\bEventStep\b|\bOutOfClass\b|\bfn check_class\b'; then
+  echo "one-integrator gate: a second integrator's class machinery is back —"
+  echo "every configuration runs on MicroStep"
+  exit 1
+fi
+n=$({ non_test_lines | grep -E '\bimpl\b.*\bIntegrator for\b' || true; } | wc -l)
+if [ "$n" -ne 1 ]; then
+  echo "one-integrator gate: ${n} Integrator impls outside test modules (want 1, MicroStep)"
+  exit 1
+fi
+
+# All three engines find their output edges (feedback edges, VCO toggles)
 # with loop_shell::solve_crossing and their reference edges with the
 # stimulus's exact inverse. This gate keeps the engine-private searches
 # they replaced gone: a midpoint bisection outside those two files, or a
