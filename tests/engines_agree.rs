@@ -58,14 +58,14 @@ fn phase_transfer<E: PllEngine>(cfg: &PllConfig, f_mod: f64) -> Complex64 {
     let (periods, per_period) = (3, 32);
     let t0 = settle_time(cfg) + 1.0 / f_mod;
     let w = TAU * f_mod;
-    let (mut vco, mut reference) = (Complex64::new(0.0, 0.0), Complex64::new(0.0, 0.0));
+    let (mut vco, mut reference) = (Complex64::ZERO, Complex64::ZERO);
     for k in 0..periods * per_period {
         let t = t0 + k as f64 / (per_period as f64 * f_mod);
         pll.advance_to(t);
         let carrier = cfg.f_ref_hz * t;
         let bin = Complex64::from_polar(1.0, -w * t);
-        vco = vco + bin * (pll.vco_phase_cycles() / f64::from(cfg.divider_n) - carrier);
-        reference = reference + bin * (stimulus.phase_cycles(t) - carrier);
+        vco += bin * (pll.vco_phase_cycles() / f64::from(cfg.divider_n) - carrier);
+        reference += bin * (stimulus.phase_cycles(t) - carrier);
     }
     vco / reference
 }
