@@ -272,7 +272,10 @@ impl MicroStep {
     }
 
     /// The micro-step formula: the filter stepped exactly, the phase by
-    /// the trapezoid on the clamped tuning curve.
+    /// the trapezoid on the clamped tuning curve. Kept out of line so the
+    /// kernel path of [`Integrator::advance`] stays small enough to
+    /// inline into the edge solve.
+    #[inline(never)]
     fn micro_step(&mut self, x: &FilterState, drive: PumpOutput, dt: f64) -> Segment<FilterState> {
         let mut end = *x;
         self.filter.step(&mut end, drive, dt);
@@ -332,7 +335,7 @@ impl Integrator for MicroStep {
     fn output(&self, x: &FilterState, drive: PfdOutput) -> f64 {
         let s = slot(drive);
         match &self.kernels[s] {
-            Some(k) => k.seg.output(x[0]),
+            Some(k) => k.seg.output(x.slots[0]),
             None => self.filter.output(x, self.drives[s]),
         }
     }
@@ -344,7 +347,7 @@ impl Integrator for MicroStep {
     fn frequency(&self, x: &FilterState, drive: PfdOutput) -> f64 {
         let s = slot(drive);
         match &self.kernels[s] {
-            Some(k) => k.frequency(x[0]),
+            Some(k) => k.frequency(x.slots[0]),
             None => self.vco.frequency_hz(self.filter.output(x, self.drives[s])),
         }
     }
@@ -353,14 +356,16 @@ impl Integrator for MicroStep {
     fn advance(&mut self, x: &FilterState, drive: PfdOutput, dt: f64) -> Segment<FilterState> {
         let s = slot(drive);
         if let Some(k) = &self.kernels[s] {
-            let (end, dphase) = k.segment(x[0], dt);
-            if k.frequency(x[0]) > 0.0 && k.frequency(end) > 0.0 {
-                let mut state = *x;
-                state[0] = end;
+            let x0 = x.slots[0];
+            let (end, dphase) = k.segment(x0, dt);
+            if k.frequency(x0) > 0.0 && k.frequency(end) > 0.0 {
                 return Segment {
                     dt,
                     dphase,
-                    end: state,
+                    end: FilterState {
+                        len: 1,
+                        slots: [end, 0.0],
+                    },
                 };
             }
         }
@@ -370,7 +375,7 @@ impl Integrator for MicroStep {
     #[inline]
     fn frequency_derivatives(&self, x: &FilterState, drive: PfdOutput) -> [f64; 3] {
         match &self.kernels[slot(drive)] {
-            Some(k) => k.derivatives(x[0]),
+            Some(k) => k.derivatives(x.slots[0]),
             None => [0.0; 3],
         }
     }
@@ -378,7 +383,7 @@ impl Integrator for MicroStep {
     #[inline]
     fn phase_floor(&self, x: &FilterState, drive: PfdOutput, dt: f64) -> f64 {
         match &self.kernels[slot(drive)] {
-            Some(k) => k.phase_floor(x[0], dt),
+            Some(k) => k.phase_floor(x.slots[0], dt),
             None => f64::NEG_INFINITY,
         }
     }
