@@ -70,7 +70,9 @@ use crate::stimulus::FmStimulus;
 use crate::supervisor::Supervised;
 use pllbist_telemetry::json::{json_str_field, json_u64_field};
 use pllbist_telemetry::recorder::{FlightEventKind, NO_POINT};
-use pllbist_telemetry::{Collector, Fields, Record, TelemetryConfig, Value, SCHEMA_VERSION};
+use pllbist_telemetry::{
+    write_json_str, Collector, Fields, Record, TelemetryConfig, Value, SCHEMA_VERSION,
+};
 use pllbist_testkit::rng::TestRng;
 
 /// Journal/submission record bin tag.
@@ -1070,11 +1072,11 @@ fn submit_job(state: &Arc<ServiceState>, stream: &mut TcpStream, body: &[u8]) {
     let spec = match JobSpec::parse(text) {
         Ok(spec) => spec,
         Err(reason) => {
-            respond(
-                stream,
-                "400 Bad Request",
-                &format!("{{\"error\":\"{reason}\"}}"),
-            );
+            // The reason may quote what it refuses (a backend tag).
+            let mut body = String::from("{\"error\":");
+            write_json_str(&mut body, &reason);
+            body.push('}');
+            respond(stream, "400 Bad Request", &body);
             return;
         }
     };
@@ -1668,6 +1670,35 @@ mod tests {
             Err(HttpError::Status { code: 404, body }) => body,
             other => panic!("{path}: expected 404, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn retired_backend_tag_is_a_400_with_its_reason() {
+        // The event engine's tag is an unknown backend; the 400 body is
+        // JSON that carries the parse reason, quotes and all.
+        let root = std::env::temp_dir().join(format!(
+            "pllbist_service_unit_{}_retired",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = CampaignService::start(ServiceConfig::rooted(&root)).expect("start");
+        let body = submission_body(
+            &CampaignPlan::new(PllConfig::paper_table3()),
+            &[5.0, 20.0],
+            "unit",
+            &FaultPlan::none(),
+        )
+        .replace("\"backend\":\"cp_pll\"", "\"backend\":\"event_driven\"");
+        match http_post(service.addr(), "/jobs", &body) {
+            Err(HttpError::Status { code: 400, body }) => assert_eq!(
+                json_str_field(&body, "error").as_deref(),
+                Some("backend \"event_driven\" is not servable"),
+                "{body}"
+            ),
+            other => panic!("expected 400, got {other:?}"),
+        }
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

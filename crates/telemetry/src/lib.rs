@@ -60,7 +60,7 @@ pub use hist::Histogram;
 pub use json::{json_bool_field, json_f64_field, json_str_field, json_u64_field};
 pub use ledger::{LedgerRecord, LEDGER_SCHEMA};
 pub use progress::{CampaignProgress, ProgressBoard, WorkerProgress};
-pub use record::{to_jsonl, Fields, Record, Value, SCHEMA_VERSION};
+pub use record::{to_jsonl, write_json_str, Fields, Record, Value, SCHEMA_VERSION};
 pub use recorder::{parse_dump, FlightEvent, FlightEventKind, FlightRecorder};
 pub use report::RunReport;
 

@@ -181,7 +181,9 @@ pub enum Record {
 /// The current JSONL schema version emitted in `run` headers.
 pub const SCHEMA_VERSION: u32 = 1;
 
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes and escapes
+/// included.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
