@@ -593,10 +593,9 @@ mod tests {
         // The closed-form kernel (the event engine's formula) against the
         // micro-step formula, which a negligible VCO curvature selects.
         let cfg = PllConfig::paper_table3();
-        let mut curved = cfg.clone();
-        curved.vco_curvature = (1e-9, 0.0);
+        let micro_steps = crate::loop_shell::tests::micro_step_path(cfg.clone());
         let freqs = [2.0, 8.0, 20.0];
-        let beh = measure_sweep_points(&serial_plan(&curved), &freqs, &quick());
+        let beh = measure_sweep_points(&serial_plan(&micro_steps), &freqs, &quick());
         let ev = measure_sweep_points(&serial_plan(&cfg), &freqs, &quick());
         for (a, b) in ev.iter().zip(&beh) {
             assert!(

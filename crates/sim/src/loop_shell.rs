@@ -28,10 +28,11 @@
 //! engines find their output edges with it too.
 //!
 //! Work accounting: `steps` counts committed segments, and every
-//! feedback edge is a shortened, rejected segment. A rejection is counted whether the trial
-//! segment was evaluated or proven to cross by the integrator's
-//! [`phase_floor`](Integrator::phase_floor) without evaluating it, so the
-//! counters do not depend on how cheaply the integrator answers.
+//! feedback edge is a shortened, rejected segment. A rejection is counted
+//! whether the trial segment was evaluated or proven to cross by the
+//! integrator's [`phase_floor`](Integrator::phase_floor) without
+//! evaluating it, so the counters do not depend on how cheaply the
+//! integrator answers.
 
 use crate::campaign::{bits_hex, f64_from_bits_hex};
 use crate::config::{DriveConfig, PllConfig};

@@ -642,7 +642,7 @@ mod tests {
         if let FilterConfig::PassiveLag { ref mut r_leak, .. } = cfg.filter {
             *r_leak = Some(50e6);
         }
-        cfg.vco_curvature = (1e-9, 0.0);
+        let cfg = crate::loop_shell::tests::micro_step_path(cfg);
         let lock_settle = 0.01;
         // Steps an attempt-0 settle costs on this engine.
         let steps0 = {
