@@ -195,6 +195,18 @@ pub trait PllEngine {
     where
         Self: Sized;
 
+    /// The engine's name in campaign digests: its
+    /// [`backend_name`](Self::backend_name), with a revision suffix once
+    /// its bits have moved for unchanged inputs, so a results file or
+    /// sidecar written with the earlier bits is refused
+    /// (`HeaderMismatch`) and recomputed, never resumed into new bits.
+    fn digest_tag() -> &'static str
+    where
+        Self: Sized,
+    {
+        Self::backend_name()
+    }
+
     /// Serialises a checkpoint as a compact single-line token (floats
     /// as bit hex; no quotes, braces or backslashes) for the on-disk
     /// lock-state sidecar, or `None` when this backend's state cannot

@@ -162,6 +162,11 @@ pub trait Integrator: Sized {
 /// The backend tag ([`PllEngine::backend_name`]).
 const BACKEND: &str = "cp_pll";
 
+/// The backend in campaign digests ([`PllEngine::digest_tag`]): revision
+/// 2 since the closed-form segment moved into the integrator, which
+/// moved in-class bits.
+const DIGEST_TAG: &str = "cp_pll@2";
+
 /// The prefix of the loop's sidecar checkpoint tokens.
 const TOKEN_PREFIX: &str = "cp:";
 
@@ -926,6 +931,10 @@ impl<I: Integrator> PllEngine for LoopShell<I> {
 
     fn backend_name() -> &'static str {
         BACKEND
+    }
+
+    fn digest_tag() -> &'static str {
+        DIGEST_TAG
     }
 
     fn encode_checkpoint(snapshot: &Self::Checkpoint) -> Option<String> {

@@ -336,7 +336,7 @@ impl<E: PllEngine> CampaignPlan<E> {
         };
         format!(
             "plan|{workload_salt}|engine:{}|settle:{settle}|policy:{policy}",
-            E::backend_name()
+            E::digest_tag()
         )
     }
 

@@ -373,6 +373,10 @@ impl<E: PllEngine> PllEngine for Supervised<E> {
         E::backend_name()
     }
 
+    fn digest_tag() -> &'static str {
+        E::digest_tag()
+    }
+
     fn work_stats(&self) -> WorkStats {
         self.inner.work_stats()
     }

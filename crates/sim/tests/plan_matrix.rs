@@ -157,6 +157,26 @@ fn digests_survive_the_fixed_supervision_ladder() {
 }
 
 #[test]
+fn cp_pll_digests_moved_once_with_its_bits() {
+    // `CpPll`'s closed-form segments moved its in-class bits, and its
+    // digest tag moved with them: a header (results file, sidecar, job)
+    // written with the earlier bits is refused, never resumed into the
+    // new ones. The earlier digests were 4fc3afe96d160ab9 (supervised)
+    // and 3c284bca4f701c96.
+    let grid = [3.0, 9.0];
+    let plan = CampaignPlan::new(PllConfig::paper_table3());
+    let supervised = plan.clone().supervised(SupervisorPolicy::default());
+    assert_eq!(supervised.digest(&grid, "s"), "aa0ab29046638123");
+    assert_eq!(plan.digest(&grid, "s"), "ea1a9f93242d29f0");
+    let earlier = "{\"type\":\"campaign\",\"digest\":\"4fc3afe96d160ab9\",\"points\":2,\
+         \"backend\":\"cp_pll\",\"checkpoint\":true,\"supervised\":true}";
+    assert!(matches!(
+        CampaignPlan::<CpPll>::from_header(earlier, PllConfig::paper_table3(), &grid, "s"),
+        Err(CampaignError::HeaderMismatch { .. })
+    ));
+}
+
+#[test]
 fn supervision_travels_as_one_flag() {
     let grid = [3.0, 9.0];
     let supervised = CampaignPlan::new(PllConfig::paper_table3())
