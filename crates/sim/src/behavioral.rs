@@ -237,7 +237,7 @@ impl Kernel {
 }
 
 /// The one [`Integrator`]: any [`LoopFilter`], any VCO tuning curve, with
-/// a closed-form [`Kernel`] under every drive that has one.
+/// a closed-form kernel under every drive that has one.
 pub struct MicroStep {
     filter: Box<dyn LoopFilter>,
     vco: Vco,
