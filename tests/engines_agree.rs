@@ -189,11 +189,9 @@ fn bist_monitor_agrees_across_backends() {
     }
 }
 
-#[test]
-fn bench_baseline_matches_full_linear_model() {
-    // The fig. 3 bench method has analogue access, so it sees the *full*
-    // response (zero included) — unlike the hold-based BIST.
-    let cfg = PllConfig::paper_table3();
+/// The fig. 3 bench measurement of `cfg` against eq. 4's full feedback
+/// response at three modulation frequencies.
+fn bench_matches_full_linear_model(cfg: &PllConfig) {
     let h = cfg.analysis().feedback_transfer();
     let settings = BenchSettings {
         settle_periods: 3.0,
@@ -201,7 +199,7 @@ fn bench_baseline_matches_full_linear_model() {
         ..BenchSettings::default()
     };
     for fm in [2.0, 8.0, 20.0] {
-        let p = measure_point::<CpPll>(&cfg, fm, &settings).expect("bench point");
+        let p = measure_point::<CpPll>(cfg, fm, &settings).expect("bench point");
         let want = h.eval_jw(TAU * fm);
         assert!(
             (p.gain - want.abs()).abs() / want.abs() < 0.1,
@@ -216,6 +214,24 @@ fn bench_baseline_matches_full_linear_model() {
             want.arg()
         );
     }
+}
+
+#[test]
+fn bench_baseline_matches_full_linear_model() {
+    // The fig. 3 bench method has analogue access, so it sees the *full*
+    // response (zero included) — unlike the hold-based BIST. On the
+    // micro-step formula, which a negligible VCO curvature selects.
+    let mut cfg = PllConfig::paper_table3();
+    cfg.vco_curvature = (1e-9, 0.0);
+    bench_matches_full_linear_model(&cfg);
+}
+
+#[test]
+fn event_driven_bench_matches_the_closed_form_model() {
+    // The same check on the closed-form kernel, the event-driven
+    // formula the stock config selects: the bench reads the full
+    // feedback response, exactly the curve `ClosedFormPll` plays back.
+    bench_matches_full_linear_model(&PllConfig::paper_table3());
 }
 
 #[test]
