@@ -489,6 +489,63 @@ mod tests {
     }
 
     #[test]
+    fn kernel_does_far_less_work_than_micro_steps() {
+        // The reason the kernel exists: no micro-steps where the filter
+        // moves. On the paper's loop with 50 MΩ of leakage the filter
+        // droops between pump pulses; the kernel takes that droop whole,
+        // the micro-step formula pays a step per quarter period.
+        let mut cfg = PllConfig::paper_table3();
+        if let FilterConfig::PassiveLag { ref mut r_leak, .. } = cfg.filter {
+            *r_leak = Some(50e6);
+        }
+        let mut kernel = CpPll::new_locked(&cfg);
+        let mut micro = CpPll::new_locked(&micro_step_path(cfg));
+        kernel.advance_to(0.5);
+        micro.advance_to(0.5);
+        let sk = kernel.work_stats();
+        let sm = micro.work_stats();
+        assert!(
+            sk.steps * 2 < sm.steps,
+            "the kernel should commit far fewer segments: {} vs {}",
+            sk.steps,
+            sm.steps
+        );
+        assert_eq!(sk.ref_edges, sm.ref_edges, "same physical events");
+    }
+
+    #[test]
+    fn kernel_tracks_the_micro_step_formula_closely() {
+        // Same loop, same stimulus law: the closed-form kernel and the
+        // micro-step formula must tell the same physical story over time
+        // (the micro-step trapezoid is not exact under voltage drive, and
+        // feedback edges land within rounding of each other).
+        let cfg = PllConfig::paper_table3();
+        let mut kernel = CpPll::new_locked(&cfg);
+        let mut micro = CpPll::new_locked(&micro_step_path(cfg));
+        let stim = FmStimulus::pure_sine(1_000.0, 10.0, 8.0);
+        kernel.set_stimulus(stim.clone());
+        micro.set_stimulus(stim);
+        for k in 1..=10 {
+            let t = k as f64 * 0.1;
+            kernel.advance_to(t);
+            micro.advance_to(t);
+            let pk = kernel.vco_phase_cycles();
+            let pm = micro.vco_phase_cycles();
+            assert!(
+                (pk - pm).abs() < 1e-4 * pm.abs().max(1.0),
+                "t = {t}: kernel {pk} vs micro-steps {pm} cycles"
+            );
+            let vk = kernel.held_control_voltage();
+            let vm = micro.held_control_voltage();
+            assert!(
+                (vk - vm).abs() < 1e-4,
+                "t = {t}: held v kernel {vk} vs micro-steps {vm}"
+            );
+        }
+        assert_eq!(kernel.fb_edge_count(), micro.fb_edge_count());
+    }
+
+    #[test]
     fn step_scale_one_is_bitwise_neutral() {
         let cfg = PllConfig::paper_table3();
         let mut a = CpPll::new_locked(&cfg);

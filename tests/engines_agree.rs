@@ -189,6 +189,72 @@ fn bist_monitor_agrees_across_backends() {
     }
 }
 
+#[test]
+fn bist_monitor_agrees_on_the_event_driven_backend() {
+    // The same Table 2 sequence on the event-driven formula (the
+    // closed-form kernel the stock config selects, under the
+    // `EventDrivenCpPll` name the benchmark package uses) must land on
+    // the same Bode curve as the micro-step formula, which a negligible
+    // VCO curvature selects: a faster path through identical physics,
+    // not a different model. Both share every quantised readout
+    // (counters, peak detector, hold), so the curves agree far tighter
+    // than either agrees with the gate-level backend in
+    // `bist_monitor_agrees_across_backends`.
+    use pllbist_sim::EventDrivenCpPll;
+    let cfg = PllConfig::paper_table3();
+    let mut curved = cfg.clone();
+    curved.vco_curvature = (1e-9, 0.0);
+    let settings = MonitorSettings {
+        mod_frequencies_hz: vec![2.0, 8.0, 20.0],
+        settle_periods: 3.0,
+        loop_settle_secs: 0.3,
+        capture_transcript: false,
+        ..MonitorSettings::fast()
+    };
+    let monitor = TransferFunctionMonitor::new(settings);
+    let serial = |cfg: &PllConfig| CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
+    let ev = monitor
+        .measure(&serial(&cfg).engine::<EventDrivenCpPll>())
+        .expect_healthy();
+    let micro = monitor.measure(&serial(&curved)).expect_healthy();
+    let closed = monitor
+        .measure(&serial(&cfg).engine::<ClosedFormPll>())
+        .expect_healthy();
+
+    assert!(
+        (ev.nominal.frequency_hz - micro.nominal.frequency_hz).abs() < 5.0,
+        "nominal: event {} vs micro-steps {}",
+        ev.nominal.frequency_hz,
+        micro.nominal.frequency_hz
+    );
+    // The closed-form adapter synthesises its edges from the analytic
+    // steady state, so nominal-frequency readouts still line up.
+    assert!(
+        (ev.nominal.frequency_hz - closed.nominal.frequency_hz).abs() < 5.0,
+        "nominal: event {} vs closed form {}",
+        ev.nominal.frequency_hz,
+        closed.nominal.frequency_hz
+    );
+    let eb = ev.to_bode();
+    let mb = micro.to_bode();
+    for (pe, pm) in eb.points().iter().zip(mb.points()) {
+        assert!(
+            (pe.magnitude - pm.magnitude).abs() / pe.magnitude.max(1e-9) < 0.05,
+            "ω = {}: |H| event {} vs micro-steps {}",
+            pe.omega,
+            pe.magnitude,
+            pm.magnitude
+        );
+        assert!(
+            (pe.phase - pm.phase).abs() < 5f64.to_radians(),
+            "ω = {}: phase event {}° vs micro-steps {}°",
+            pe.omega,
+            pe.phase.to_degrees(),
+            pm.phase.to_degrees()
+        );
+    }
+}
+
 /// The fig. 3 bench measurement of `cfg` against eq. 4's full feedback
 /// response at three modulation frequencies.
 fn bench_matches_full_linear_model(cfg: &PllConfig) {
