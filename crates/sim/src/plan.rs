@@ -50,11 +50,18 @@ use std::sync::Arc;
 
 /// The digest salt's policy text for a supervised plan: the `Debug` form
 /// of [`SupervisorPolicy::default`] from when its thresholds were
-/// settable fields. Kept verbatim so results files, job ids and job
-/// directories written then still resume under the same digest.
+/// settable fields. Kept verbatim, so fixing the ladder moved no digest.
 const SUPERVISED_SALT: &str = "SupervisorPolicy { max_retries: 2, retry_step_scale: 0.5, \
      retry_settle_scale: 1.5, step_budget: 10000000, control_rails: None, \
      rail_margin_fraction: 1e-9, rail_overshoot_fraction: 10.0, rail_streak_limit: 256 }";
+
+/// The revision of the reference stimulus's phase inverse, in every
+/// plan digest: 2 since sine FM/PM edges are seeded from the sixth-order
+/// series inverse, which moved each backend's sine-driven bits by ulps.
+/// A results file, sidecar or job written with the earlier edges is then
+/// refused (`HeaderMismatch`) and recomputed, never resumed into new
+/// bits.
+const STIMULUS_REVISION: &str = "phase-inverse@2";
 
 /// How sweep points are distributed over workers.
 ///
@@ -323,9 +330,9 @@ impl<E: PllEngine> CampaignPlan<E> {
     }
 
     /// The part of the digest salt the plan itself contributes: engine
-    /// backend, lock-settle override and supervision. Scheduling
-    /// knobs (threads, checkpoint, telemetry, observer, resume path) are
-    /// deliberately absent — they never change results.
+    /// backend, stimulus revision, lock-settle override and supervision.
+    /// Scheduling knobs (threads, checkpoint, telemetry, observer, resume
+    /// path) are deliberately absent — they never change results.
     fn digest_salt(&self, workload_salt: &str) -> String {
         let settle = self
             .lock_settle_secs
@@ -335,7 +342,7 @@ impl<E: PllEngine> CampaignPlan<E> {
             None => "none",
         };
         format!(
-            "plan|{workload_salt}|engine:{}|settle:{settle}|policy:{policy}",
+            "plan|{workload_salt}|engine:{}|stimulus:{STIMULUS_REVISION}|settle:{settle}|policy:{policy}",
             E::digest_tag()
         )
     }

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use pllbist_sim::config::PllConfig;
+use pllbist_sim::cosim::MixedSignalPll;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::{
     run_plan, CampaignError, CampaignPlan, ClosedFormPll, CpPll, NullCodec, PllEngine, Scheduler,
@@ -145,15 +146,54 @@ fn scheduling_knobs_never_touch_the_digest() {
     assert_ne!(base.digest(&tones, "other-salt"), digest);
 }
 
+/// Asserts that a supervised header for `E` on `grid` under salt `"s"`
+/// that carries the `earlier` digest is refused.
+fn refuses_earlier_header<E: PllEngine>(earlier: &str, grid: &[f64]) {
+    let line = format!(
+        "{{\"type\":\"campaign\",\"digest\":\"{earlier}\",\"points\":{},\
+         \"backend\":\"{}\",\"checkpoint\":true,\"supervised\":true}}",
+        grid.len(),
+        E::backend_name()
+    );
+    assert!(matches!(
+        CampaignPlan::<E>::from_header(&line, PllConfig::paper_table3(), grid, "s"),
+        Err(CampaignError::HeaderMismatch { .. })
+    ));
+}
+
 #[test]
 fn digests_survive_the_fixed_supervision_ladder() {
-    // Pinned from when the ladder's thresholds were settable fields:
-    // results files and job directories written then still resume.
+    // Fixing the ladder's thresholds moved no digest: the supervised
+    // salt keeps their settable-field text. These pins were
+    // 23419d42017a58c2 (supervised) and 358e70fd07c866cd until the
+    // stimulus revision entered every digest (see
+    // `sine_digests_moved_once_with_the_phase_inverse`); results files
+    // and job directories written before it are then refused, since
+    // their sine edges sit ulps from the ones recomputed now.
     let grid = [3.0, 9.0];
     let plan = CampaignPlan::new(PllConfig::paper_table3()).engine::<ClosedFormPll>();
     let supervised = plan.clone().supervised(SupervisorPolicy::default());
-    assert_eq!(supervised.digest(&grid, "s"), "23419d42017a58c2");
-    assert_eq!(plan.digest(&grid, "s"), "358e70fd07c866cd");
+    assert_eq!(supervised.digest(&grid, "s"), "e5576d2660b1873e");
+    assert_eq!(plan.digest(&grid, "s"), "048ca7a66c518c41");
+}
+
+#[test]
+fn sine_digests_moved_once_with_the_phase_inverse() {
+    // Seeding the sine phase inverse from its sixth-order series moved
+    // every backend's sine-driven bits by ulps, and the stimulus
+    // revision in the plan salt moved every digest with them: a header
+    // written with the earlier edges is refused, never resumed into the
+    // new ones.
+    let grid = [3.0, 9.0];
+    let plan = CampaignPlan::new(PllConfig::paper_table3());
+    let mixed = plan.clone().engine::<MixedSignalPll>();
+    let supervised = mixed.clone().supervised(SupervisorPolicy::default());
+    // Earlier: 8da9972b4e1756e9 (supervised) and 3734f67de5a333e6.
+    assert_eq!(supervised.digest(&grid, "s"), "f28deb50ba8c1d33");
+    assert_eq!(mixed.digest(&grid, "s"), "68486c5b0f859020");
+    refuses_earlier_header::<CpPll>("aa0ab29046638123", &grid);
+    refuses_earlier_header::<ClosedFormPll>("23419d42017a58c2", &grid);
+    refuses_earlier_header::<MixedSignalPll>("8da9972b4e1756e9", &grid);
 }
 
 #[test]
@@ -162,18 +202,15 @@ fn cp_pll_digests_moved_once_with_its_bits() {
     // digest tag moved with them: a header (results file, sidecar, job)
     // written with the earlier bits is refused, never resumed into the
     // new ones. The earlier digests were 4fc3afe96d160ab9 (supervised)
-    // and 3c284bca4f701c96.
+    // and 3c284bca4f701c96. They moved once more with the stimulus
+    // revision, from aa0ab29046638123 (supervised) and
+    // ea1a9f93242d29f0.
     let grid = [3.0, 9.0];
     let plan = CampaignPlan::new(PllConfig::paper_table3());
     let supervised = plan.clone().supervised(SupervisorPolicy::default());
-    assert_eq!(supervised.digest(&grid, "s"), "aa0ab29046638123");
-    assert_eq!(plan.digest(&grid, "s"), "ea1a9f93242d29f0");
-    let earlier = "{\"type\":\"campaign\",\"digest\":\"4fc3afe96d160ab9\",\"points\":2,\
-         \"backend\":\"cp_pll\",\"checkpoint\":true,\"supervised\":true}";
-    assert!(matches!(
-        CampaignPlan::<CpPll>::from_header(earlier, PllConfig::paper_table3(), &grid, "s"),
-        Err(CampaignError::HeaderMismatch { .. })
-    ));
+    assert_eq!(supervised.digest(&grid, "s"), "7f463671a037f445");
+    assert_eq!(plan.digest(&grid, "s"), "8b775e71f0ac822a");
+    refuses_earlier_header::<CpPll>("4fc3afe96d160ab9", &grid);
 }
 
 #[test]
@@ -184,7 +221,7 @@ fn supervision_travels_as_one_flag() {
         .supervised(SupervisorPolicy::default());
     assert_eq!(
         supervised.header_line(&grid, "s"),
-        "{\"type\":\"campaign\",\"digest\":\"23419d42017a58c2\",\"points\":2,\
+        "{\"type\":\"campaign\",\"digest\":\"e5576d2660b1873e\",\"points\":2,\
          \"backend\":\"closed_form\",\"checkpoint\":true,\"supervised\":true}"
     );
     let parse = |line: &str| {
@@ -194,7 +231,7 @@ fn supervision_travels_as_one_flag() {
     assert_eq!(back.supervision(), Some(&SupervisorPolicy::default()));
     // Threshold keys are not read: hostile values under the ladder's
     // digest parse to the ladder.
-    let hostile = "{\"type\":\"campaign\",\"digest\":\"23419d42017a58c2\",\"points\":2,\
+    let hostile = "{\"type\":\"campaign\",\"digest\":\"e5576d2660b1873e\",\"points\":2,\
          \"backend\":\"closed_form\",\"checkpoint\":true,\"supervised\":true,\
          \"max_retries\":4000000000,\"retry_step_scale_bits\":\"0000000000000000\",\
          \"retry_settle_scale_bits\":\"412e848000000000\",\"step_budget\":0,\
