@@ -79,6 +79,19 @@
 //! 400 reference edges, a cycle slip in a locked loop). Now it counts 400
 //! of each, 961 steps and one more dead-zone glitch (182), and ends with
 //! the PFD idle instead of armed Up.
+//!
+//! The table was re-pinned once more when the sine phase inverse took
+//! its Newton seed from the sixth-order series inverse of the phase at
+//! the previous edge instead of `t + h − ½·f′·h²/f`. The seed now meets
+//! Newton's tolerance itself, so each sine reference edge sits a few ulps
+//! from where the second Newton step put it, and the script's 200
+//! sine-driven periods carry that into the state. The filter state, the
+//! PFD's armed time and the VCO phase moved by 9, 3 and 3 ulps on
+//! `paper_table3`, by 41, 36 and 36 on `integer_n_charge_pump`, and by
+//! 36, 4 and 6 on the dead-zone config. Every step, edge and rejection
+//! count is unchanged (794/400/400/400, 793/398/400/398 and
+//! 961/400/400/400): the loop still leaves hold on the same cycle after
+//! the release at period 300.
 
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::stimulus::FmStimulus;
@@ -141,18 +154,18 @@ fn check<E: PllEngine>(golden: &[(&str, &str, &str)]) {
 const PINS: [(&str, &str, &str); 3] = [
         (
             "paper_table3",
-            "cp:3fd999999999999a|4003fd5fe199e72f|0;3fd9984546b4ebc6;0000000000000000;0;d,3fd9984546b4ebc6,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab578468|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|794,400,400,400,1",
-            "409f418dab578468",
+            "cp:3fd999999999999a|4003fd5fe199e726|0;3fd9984546b4ebc3;0000000000000000;0;d,3fd9984546b4ebc3,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f418dab57846b|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|794,400,400,400,1",
+            "409f418dab57846b",
         ),
         (
             "integer_n_charge_pump",
-            "cp:3fa47ae147ae147b|4002e8f12466be48|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6bf4,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292687|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|793,398,400,398,1",
-            "40a8effc5e292687",
+            "cp:3fa47ae147ae147b|4002e8f12466be71|1;3fa47ae147ae147b;0000000000000000;0;d,3fa46dae21cf6c18,3fa46dc3ba8854bd,1|40c3880000000000;4069000000000000;sine:4059000000000000|40a8effc5e292663|398|40a8f00000000000|3fa487fa9ecd5456|3fa487fa9ecd5456|0000000000000000|0|793,398,400,398,1",
+            "40a8effc5e292663",
         ),
         (
             "paper_table3_dead_zone",
-            "cp:3fd999999999999a|4003fef899611b06|0;3fd998228a36ce26;3f04f8b588e368f1;182;d,3fd998228a36ce26,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f41bf19d9d51f|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|961,400,400,400,1",
-            "409f41bf19d9d51f",
+            "cp:3fd999999999999a|4003fef899611b2a|0;3fd998228a36ce2a;3f04f8b588e368f1;182;d,3fd998228a36ce2a,3fd999999999999a,1|408f400000000000;4034000000000000;sine:4024000000000000|409f41bf19d9d519|400|409f540000000000|3fd9a9f94680a96c|3fd9a9f94680a96c|0000000000000000|0|961,400,400,400,1",
+            "409f41bf19d9d519",
         ),
     ];
 
